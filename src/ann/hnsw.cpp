@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace spider::ann {
 
 HnswIndex::HnswIndex(HnswConfig config)
     : config_{config},
       level_lambda_{1.0 / std::log(static_cast<double>(std::max<std::size_t>(config.M, 2)))},
-      rng_{config.seed} {
+      rng_{config.seed},
+      squared_l2_{tensor::simd::active_kernels().squared_l2} {
     if (config_.dim == 0) throw std::invalid_argument{"HnswIndex: dim must be > 0"};
     if (config_.M < 2) throw std::invalid_argument{"HnswIndex: M must be >= 2"};
     if (config_.ef_construction < config_.M) {
@@ -24,14 +26,16 @@ HnswIndex::HnswIndex(HnswIndex&& other) noexcept
     : config_{other.config_},
       level_lambda_{other.level_lambda_},
       rng_{other.rng_},
+      squared_l2_{other.squared_l2_},
       nodes_{std::move(other.nodes_)},
+      vectors_{std::move(other.vectors_)},
       label_to_id_{std::move(other.label_to_id_)},
       entry_point_{other.entry_point_},
       max_level_{other.max_level_},
       empty_{other.empty_},
       dist_comps_{other.dist_comps_.load(std::memory_order_relaxed)} {
-    // visit_pool_ / phase_mutex_ start fresh: a moved index has no
-    // in-flight queries by precondition.
+    // visit_pool_ / phase_mutex_ / scratch start fresh: a moved index has
+    // no in-flight queries by precondition.
 }
 
 HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
@@ -39,7 +43,9 @@ HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
         config_ = other.config_;
         level_lambda_ = other.level_lambda_;
         rng_ = other.rng_;
+        squared_l2_ = other.squared_l2_;
         nodes_ = std::move(other.nodes_);
+        vectors_ = std::move(other.vectors_);
         label_to_id_ = std::move(other.label_to_id_);
         entry_point_ = other.entry_point_;
         max_level_ = other.max_level_;
@@ -50,23 +56,22 @@ HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
     return *this;
 }
 
-HnswIndex::VisitTable HnswIndex::VisitTablePool::acquire(std::size_t n) {
-    VisitTable table;
-    {
-        const std::lock_guard lock{mutex_};
-        if (!free_.empty()) {
-            table = std::move(free_.back());
-            free_.pop_back();
-        }
+void HnswIndex::Marks::reset(std::size_t n) {
+    if (stamp.size() < n) {
+        stamp.resize(n, 0);
     }
-    if (table.stamp.size() < n) {
-        table.stamp.resize(n, 0);
+    ++epoch;
+    if (epoch == 0) {  // wrapped: reset stamps
+        std::fill(stamp.begin(), stamp.end(), 0);
+        epoch = 1;
     }
-    ++table.epoch;
-    if (table.epoch == 0) {  // wrapped: reset stamps
-        std::fill(table.stamp.begin(), table.stamp.end(), 0);
-        table.epoch = 1;
-    }
+}
+
+HnswIndex::VisitTable HnswIndex::VisitTablePool::acquire() {
+    const std::lock_guard lock{mutex_};
+    if (free_.empty()) return {};
+    VisitTable table = std::move(free_.back());
+    free_.pop_back();
     return table;
 }
 
@@ -80,27 +85,42 @@ bool HnswIndex::contains(std::uint32_t label) const {
     return label_to_id_.contains(label);
 }
 
-float HnswIndex::dist(std::span<const float> a, std::span<const float> b) const {
-    dist_comps_.fetch_add(1, std::memory_order_relaxed);
-    return tensor::squared_l2(a, b);  // Monotone in L2; sqrt only at the API edge.
-}
-
 std::size_t HnswIndex::random_level() {
     const double u = std::max(rng_.uniform(), 1e-12);
     const auto level = static_cast<std::size_t>(-std::log(u) * level_lambda_);
     return std::min<std::size_t>(level, 31);
 }
 
-std::uint32_t HnswIndex::greedy_closest(std::span<const float> query,
+void HnswIndex::append_vector(std::span<const float> vec) {
+    const std::size_t used = vectors_.size();
+    if (used + vec.size() > vectors_.capacity()) {
+        // Grow by hand: `vec` may point into the buffer being replaced, so
+        // copy it before the old buffer is freed.
+        std::vector<float> grown;
+        grown.reserve(std::max(2 * vectors_.capacity(), used + vec.size()));
+        grown.assign(vectors_.begin(), vectors_.end());
+        grown.insert(grown.end(), vec.begin(), vec.end());
+        vectors_ = std::move(grown);
+        return;
+    }
+    vectors_.resize(used + vec.size());  // no reallocation: `vec` stays valid
+    std::copy(vec.begin(), vec.end(),
+              vectors_.begin() + static_cast<std::ptrdiff_t>(used));
+}
+
+std::uint32_t HnswIndex::greedy_closest(const float* query,
                                         std::uint32_t entry,
-                                        std::size_t layer) const {
+                                        std::size_t layer,
+                                        std::uint64_t& comps) const {
     std::uint32_t current = entry;
-    float current_dist = dist(query, nodes_[current].point);
+    float current_dist = dist(query, point(current));
+    std::uint64_t computed = 1;
     bool improved = true;
     while (improved) {
         improved = false;
         for (std::uint32_t neighbor : nodes_[current].links[layer]) {
-            const float d = dist(query, nodes_[neighbor].point);
+            const float d = dist(query, point(neighbor));
+            ++computed;
             if (d < current_dist) {
                 current = neighbor;
                 current_dist = d;
@@ -108,187 +128,191 @@ std::uint32_t HnswIndex::greedy_closest(std::span<const float> query,
             }
         }
     }
+    comps += computed;
     return current;
 }
 
-std::vector<HnswIndex::Candidate> HnswIndex::search_layer(
-    std::span<const float> query, std::uint32_t entry, std::size_t ef,
-    std::size_t layer, VisitTable& visited) const {
+std::span<HnswIndex::Candidate> HnswIndex::search_layer(
+    const float* query, std::uint32_t entry, std::size_t ef,
+    std::size_t layer, VisitTable& table, std::uint64_t& comps) const {
     // One lease covers a whole descent; a fresh epoch per layer resets the
     // visited set without touching memory.
-    std::vector<std::uint32_t>& stamp = visited.stamp;
-    ++visited.epoch;
-    if (visited.epoch == 0) {  // wrapped: reset stamps
-        std::fill(stamp.begin(), stamp.end(), 0);
-        visited.epoch = 1;
-    }
-    const std::uint32_t epoch = visited.epoch;
+    Marks& visited = table.visited;
+    visited.reset(nodes_.size());
+    std::vector<Candidate>& to_visit = table.to_visit;
+    std::vector<Candidate>& best = table.best;
+    to_visit.clear();
+    best.clear();
+    // The comparators std::priority_queue would use, so ties break the same.
+    const auto nearest_first = std::greater<Candidate>{};
+    const auto worst_first = std::less<Candidate>{};
 
-    std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>
-        to_visit;  // min-heap by distance
-    std::priority_queue<Candidate> best;  // max-heap: worst of the ef best on top
-
-    const float entry_dist = dist(query, nodes_[entry].point);
-    to_visit.push({entry_dist, entry});
-    best.push({entry_dist, entry});
-    stamp[entry] = epoch;
+    const float entry_dist = dist(query, point(entry));
+    std::uint64_t computed = 1;
+    to_visit.push_back({entry_dist, entry});
+    best.push_back({entry_dist, entry});
+    visited.add(entry);
 
     while (!to_visit.empty()) {
-        const Candidate current = to_visit.top();
-        to_visit.pop();
-        if (current.distance > best.top().distance && best.size() >= ef) break;
+        const Candidate current = to_visit.front();
+        std::pop_heap(to_visit.begin(), to_visit.end(), nearest_first);
+        to_visit.pop_back();
+        if (current.distance > best.front().distance && best.size() >= ef) break;
 
         for (std::uint32_t neighbor : nodes_[current.id].links[layer]) {
-            if (stamp[neighbor] == epoch) continue;
-            stamp[neighbor] = epoch;
-            const float d = dist(query, nodes_[neighbor].point);
-            if (best.size() < ef || d < best.top().distance) {
-                to_visit.push({d, neighbor});
-                best.push({d, neighbor});
-                if (best.size() > ef) best.pop();
+            if (visited.has(neighbor)) continue;
+            visited.add(neighbor);
+            const float d = dist(query, point(neighbor));
+            ++computed;
+            if (best.size() < ef || d < best.front().distance) {
+                to_visit.push_back({d, neighbor});
+                std::push_heap(to_visit.begin(), to_visit.end(), nearest_first);
+                best.push_back({d, neighbor});
+                std::push_heap(best.begin(), best.end(), worst_first);
+                if (best.size() > ef) {
+                    std::pop_heap(best.begin(), best.end(), worst_first);
+                    best.pop_back();
+                }
             }
         }
     }
-
-    std::vector<Candidate> result;
-    result.resize(best.size());
-    for (std::size_t i = best.size(); i-- > 0;) {
-        result[i] = best.top();
-        best.pop();
-    }
-    return result;  // ascending by distance
+    comps += computed;
+    // Popping the max-heap back to front is exactly sort_heap.
+    std::sort_heap(best.begin(), best.end(), worst_first);
+    return best;  // ascending by distance
 }
 
-std::vector<std::uint32_t> HnswIndex::select_neighbors(
-    std::span<const float> query, std::vector<Candidate> candidates,
-    std::size_t m) const {
+void HnswIndex::select_neighbors(std::span<Candidate> candidates,
+                                 std::size_t m,
+                                 std::vector<std::uint32_t>& selected,
+                                 std::uint64_t& comps) {
     std::sort(candidates.begin(), candidates.end());
-    std::vector<std::uint32_t> selected;
-    selected.reserve(m);
+    selected.clear();
+    std::uint64_t computed = 0;
     for (const Candidate& cand : candidates) {
         if (selected.size() >= m) break;
         // Keep only candidates closer to the query than to any kept
         // neighbor — spreads links across directions (HNSW Algorithm 4).
+        const float* cand_point = point(cand.id);
         bool keep = true;
         for (std::uint32_t kept : selected) {
-            const float d_to_kept =
-                dist(nodes_[cand.id].point, nodes_[kept].point);
-            if (d_to_kept < cand.distance) {
+            ++computed;
+            if (dist(cand_point, point(kept)) < cand.distance) {
                 keep = false;
                 break;
             }
         }
         if (keep) selected.push_back(cand.id);
     }
+    comps += computed;
     // Backfill with nearest rejected candidates if underfull (keeps graphs
     // connected in clustered data).
     if (selected.size() < m) {
+        marks_.reset(nodes_.size());
+        for (std::uint32_t kept : selected) marks_.add(kept);
         for (const Candidate& cand : candidates) {
             if (selected.size() >= m) break;
-            if (std::find(selected.begin(), selected.end(), cand.id) ==
-                selected.end()) {
+            if (!marks_.has(cand.id)) {
                 selected.push_back(cand.id);
+                marks_.add(cand.id);
             }
         }
     }
-    (void)query;
-    return selected;
 }
 
 void HnswIndex::link(std::uint32_t id,
                      std::span<const std::uint32_t> neighbors,
-                     std::size_t layer) {
+                     std::size_t layer, std::uint64_t& comps) {
     auto& own_links = nodes_[id].links[layer];
     // Replace out-edges; maintain the targets' in-degree counters. An old
     // target whose in-degree would hit zero keeps its edge (appended past
     // the budget) — dropping a node's last in-edge would cut it off from
-    // the directed search graph.
-    const std::vector<std::uint32_t> old_links = own_links;
-    std::vector<std::uint32_t> keep;
-    for (std::uint32_t old_target : old_links) {
-        const bool in_new = std::find(neighbors.begin(), neighbors.end(),
-                                      old_target) != neighbors.end();
-        if (in_new) continue;  // still linked; count unchanged
+    // the directed search graph. Targets both old and new keep their count.
+    marks_.reset(nodes_.size());
+    for (std::uint32_t target : neighbors) marks_.add(target);
+    keep_.clear();
+    for (std::uint32_t old_target : own_links) {
+        if (marks_.has(old_target)) continue;  // still linked
         auto& count = nodes_[old_target].in_degree[layer];
         if (count <= 1) {
-            keep.push_back(old_target);
+            keep_.push_back(old_target);
         } else {
             --count;
         }
     }
-    own_links.assign(neighbors.begin(), neighbors.end());
-    own_links.insert(own_links.end(), keep.begin(), keep.end());
+    marks_.reset(nodes_.size());
+    for (std::uint32_t old_target : own_links) marks_.add(old_target);
     for (std::uint32_t target : neighbors) {
-        const bool was_old = std::find(old_links.begin(), old_links.end(),
-                                       target) != old_links.end();
-        if (!was_old) ++nodes_[target].in_degree[layer];
+        if (!marks_.has(target)) ++nodes_[target].in_degree[layer];
     }
+    own_links.assign(neighbors.begin(), neighbors.end());
+    own_links.insert(own_links.end(), keep_.begin(), keep_.end());
 
+    const std::size_t budget = max_links(layer);
     for (std::uint32_t neighbor : neighbors) {
         auto& back = nodes_[neighbor].links[layer];
         if (std::find(back.begin(), back.end(), id) != back.end()) continue;
         back.push_back(id);
         ++nodes_[id].in_degree[layer];
-        const std::size_t budget = max_links(layer);
         if (back.size() > budget) {
             // Shrink with the same heuristic, from the neighbor's view —
             // but (a) never prune the edge just added (it may be the
             // updated node's only in-edge) and (b) never prune an edge
             // that is its target's *last* in-edge anywhere: either would
             // make a node unreachable by the directed greedy search.
-            std::vector<Candidate> cands;
-            cands.reserve(back.size());
+            const float* neighbor_point = point(neighbor);
+            cands_.clear();
             for (std::uint32_t other : back) {
-                cands.push_back(
-                    {dist(nodes_[neighbor].point, nodes_[other].point), other});
+                cands_.push_back({dist(neighbor_point, point(other)), other});
             }
-            std::vector<std::uint32_t> pruned = select_neighbors(
-                nodes_[neighbor].point, std::move(cands), budget);
-            if (std::find(pruned.begin(), pruned.end(), id) == pruned.end()) {
-                pruned.back() = id;
+            comps += back.size();
+            select_neighbors(cands_, budget, pruned_, comps);
+            if (std::find(pruned_.begin(), pruned_.end(), id) ==
+                pruned_.end()) {
+                pruned_.back() = id;
             }
+            marks_.reset(nodes_.size());
+            for (std::uint32_t kept : pruned_) marks_.add(kept);
             for (std::uint32_t other : back) {
-                const bool kept = std::find(pruned.begin(), pruned.end(),
-                                            other) != pruned.end();
-                if (kept) continue;
+                if (marks_.has(other)) continue;
                 auto& count = nodes_[other].in_degree[layer];
                 if (count <= 1) {
-                    pruned.push_back(other);  // last in-edge: keep (overflow)
+                    pruned_.push_back(other);  // last in-edge: keep (overflow)
+                    marks_.add(other);
                 } else {
                     --count;
                 }
             }
-            back = std::move(pruned);
+            back.assign(pruned_.begin(), pruned_.end());
         }
     }
 }
 
-void HnswIndex::wire_node(std::uint32_t id) {
+void HnswIndex::wire_node(std::uint32_t id, std::uint64_t& comps) {
     const std::size_t node_level = nodes_[id].links.size() - 1;
-    std::span<const float> query = nodes_[id].point;
-    VisitLease lease{visit_pool_, nodes_.size()};
+    const float* query = point(id);
+    VisitLease lease{visit_pool_};
 
     std::uint32_t entry = entry_point_;
     // Descend through layers above the node's level greedily.
     for (std::size_t layer = max_level_; layer > node_level; --layer) {
-        entry = greedy_closest(query, entry, layer);
+        entry = greedy_closest(query, entry, layer, comps);
     }
     // From min(max_level_, node_level) down to 0: beam-search and link.
     const std::size_t top = std::min(max_level_, node_level);
     for (std::size_t layer = top + 1; layer-- > 0;) {
-        std::vector<Candidate> candidates = search_layer(
-            query, entry, config_.ef_construction, layer, lease.table);
+        std::span<Candidate> candidates = search_layer(
+            query, entry, config_.ef_construction, layer, lease.table, comps);
         // Exclude self (present when rewiring an updated node).
-        candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                        [id](const Candidate& c) {
-                                            return c.id == id;
-                                        }),
-                         candidates.end());
+        const auto end = std::remove_if(
+            candidates.begin(), candidates.end(),
+            [id](const Candidate& c) { return c.id == id; });
+        candidates = candidates.first(
+            static_cast<std::size_t>(end - candidates.begin()));
         if (!candidates.empty()) {
             entry = candidates.front().id;
-            const std::vector<std::uint32_t> neighbors = select_neighbors(
-                query, candidates, max_links(layer));
-            link(id, neighbors, layer);
+            select_neighbors(candidates, max_links(layer), selected_, comps);
+            link(id, selected_, layer, comps);
         }
     }
 }
@@ -298,6 +322,7 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         throw std::invalid_argument{"HnswIndex::upsert: bad dimension"};
     }
     const std::unique_lock lock{phase_mutex_};  // writer phase: exclusive
+    std::uint64_t comps = 0;
 
     if (auto it = label_to_id_.find(label); it != label_to_id_.end()) {
         // In-place update (the hnswlib updatePoint strategy): replace the
@@ -307,7 +332,9 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         // current vectors — while removing it could disconnect the node
         // from the directed search graph entirely.
         const std::uint32_t id = it->second;
-        std::copy(vec.begin(), vec.end(), nodes_[id].point.begin());
+        // memmove: `vec` may be a span into the arena, even this very slot.
+        std::memmove(vectors_.data() + std::size_t{id} * config_.dim,
+                     vec.data(), config_.dim * sizeof(float));
         if (nodes_.size() == 1) return;
         if (entry_point_ == id) {
             // Descend from another top node so the (moved) entry doesn't
@@ -326,7 +353,8 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
             entry_point_ = best;
             max_level_ = best_level;
         }
-        wire_node(id);
+        wire_node(id, comps);
+        dist_comps_.fetch_add(comps, std::memory_order_relaxed);
         // Updated node may still own the globally max level.
         const std::size_t node_level = nodes_[id].links.size() - 1;
         if (node_level > max_level_) {
@@ -338,11 +366,17 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
 
     Node node;
     node.label = label;
-    node.point.assign(vec.begin(), vec.end());
     const std::size_t level = empty_ ? 0 : random_level();
     node.links.resize(level + 1);
+    for (std::size_t layer = 0; layer <= level; ++layer) {
+        // A full list plus the back-link that link() adds before pruning:
+        // rewiring then never reallocates, and no list ends up with the
+        // doubled capacity of a push_back past the budget.
+        node.links[layer].reserve(max_links(layer) + 1);
+    }
     node.in_degree.assign(level + 1, 0);
     const auto id = static_cast<std::uint32_t>(nodes_.size());
+    append_vector(vec);
     nodes_.push_back(std::move(node));
     label_to_id_.emplace(label, id);
 
@@ -353,7 +387,8 @@ void HnswIndex::upsert(std::uint32_t label, std::span<const float> vec) {
         return;
     }
 
-    wire_node(id);
+    wire_node(id, comps);
+    dist_comps_.fetch_add(comps, std::memory_order_relaxed);
     if (level > max_level_) {
         max_level_ = level;
         entry_point_ = id;
@@ -369,14 +404,16 @@ std::vector<Neighbor> HnswIndex::knn(std::span<const float> query,
     if (empty_ || k == 0) return {};
 
     const std::size_t beam = std::max(ef == 0 ? config_.ef_search : ef, k);
-    VisitLease lease{visit_pool_, nodes_.size()};
+    VisitLease lease{visit_pool_};
+    std::uint64_t comps = 0;
 
     std::uint32_t entry = entry_point_;
     for (std::size_t layer = max_level_; layer > 0; --layer) {
-        entry = greedy_closest(query, entry, layer);
+        entry = greedy_closest(query.data(), entry, layer, comps);
     }
-    std::vector<Candidate> found =
-        search_layer(query, entry, beam, 0, lease.table);
+    const std::span<const Candidate> found =
+        search_layer(query.data(), entry, beam, 0, lease.table, comps);
+    dist_comps_.fetch_add(comps, std::memory_order_relaxed);
 
     std::vector<Neighbor> result;
     result.reserve(std::min(k, found.size()));
@@ -392,7 +429,7 @@ std::optional<std::span<const float>> HnswIndex::vector_of(
     const std::shared_lock lock{phase_mutex_};
     const auto it = label_to_id_.find(label);
     if (it == label_to_id_.end()) return std::nullopt;
-    return std::span<const float>{nodes_[it->second].point};
+    return std::span<const float>{point(it->second), config_.dim};
 }
 
 std::size_t HnswIndex::degree(std::uint32_t label) const {
@@ -405,9 +442,9 @@ std::size_t HnswIndex::degree(std::uint32_t label) const {
 std::size_t HnswIndex::memory_bytes() const {
     const std::shared_lock lock{phase_mutex_};
     std::size_t total = sizeof(*this);
+    total += vectors_.capacity() * sizeof(float);
     for (const Node& node : nodes_) {
         total += sizeof(Node);
-        total += node.point.capacity() * sizeof(float);
         total += node.in_degree.capacity() * sizeof(std::uint32_t);
         for (const auto& layer_links : node.links) {
             total += layer_links.capacity() * sizeof(std::uint32_t);

@@ -8,14 +8,14 @@
 //
 // Thread-safety: reader/writer *phase* contract. Queries (knn, vector_of,
 // degree, contains) may run concurrently with each other — each holds a
-// shared lock, uses a pooled per-query visited buffer, and bumps only the
-// relaxed-atomic distance counter. upsert() is a writer: it takes the lock
-// exclusively, so interleaving upserts with queries is correct but
-// serializes. The intended shape (and what the batch scorer does) is
+// shared lock, uses pooled per-query search state, and adds its distance
+// count to the relaxed-atomic counter once. upsert() is a writer: it takes
+// the lock exclusively, so interleaving upserts with queries is correct
+// but serializes. The intended shape (and what the batch scorer does) is
 // phased: an update phase of upserts, then a scoring phase that fans knn
-// across a thread pool. Spans returned by vector_of() point into the graph
-// and are invalidated by the next upsert, exactly like iterator
-// invalidation on a std::vector.
+// across a thread pool. Spans returned by vector_of() point into the
+// index's vector arena and are invalidated by the next upsert, exactly
+// like iterator invalidation on a std::vector.
 
 #include <atomic>
 #include <cstdint>
@@ -84,8 +84,8 @@ public:
     [[nodiscard]] std::size_t memory_bytes() const;
 
     /// Number of distance computations since construction (perf counters
-    /// for the microbench). Exact even under concurrent queries — the
-    /// counter is a relaxed atomic.
+    /// for the microbench). Exact even under concurrent queries — each
+    /// query or upsert adds its own count to a relaxed atomic once.
     [[nodiscard]] std::uint64_t distance_computations() const {
         return dist_comps_.load(std::memory_order_relaxed);
     }
@@ -97,7 +97,6 @@ public:
 private:
     struct Node {
         std::uint32_t label = 0;
-        std::vector<float> point;
         /// links[l] = neighbor internal-ids at layer l; size() = level + 1.
         std::vector<std::vector<std::uint32_t>> links;
         /// in_degree[l] = number of edges pointing at this node at layer l.
@@ -118,19 +117,33 @@ private:
         }
     };
 
-    /// Per-query visited set: an epoch-stamped array (stamp[id] == epoch
-    /// means visited this query). Leased from a pool so concurrent queries
-    /// never share one and steady state allocates nothing.
-    struct VisitTable {
+    /// Epoch-stamped id set: stamp[id] == epoch means "in the set", so
+    /// starting a fresh set is one increment, not a clear.
+    struct Marks {
         std::vector<std::uint32_t> stamp;
         std::uint32_t epoch = 0;
+
+        /// Empties the set and makes room for ids < n.
+        void reset(std::size_t n);
+        void add(std::uint32_t id) { stamp[id] = epoch; }
+        [[nodiscard]] bool has(std::uint32_t id) const {
+            return stamp[id] == epoch;
+        }
+    };
+
+    /// Per-query search state: the visited set plus the two beam-search
+    /// heaps. Leased from a pool so concurrent queries never share one and
+    /// steady state allocates nothing.
+    struct VisitTable {
+        Marks visited;
+        std::vector<Candidate> to_visit;  // min-heap by distance
+        std::vector<Candidate> best;  // max-heap: worst of the ef best on top
     };
 
     class VisitTablePool {
     public:
-        /// Pops a free table (or makes one), sized for >= n nodes, with a
-        /// fresh epoch.
-        [[nodiscard]] VisitTable acquire(std::size_t n);
+        /// Pops a free table, or makes one.
+        [[nodiscard]] VisitTable acquire();
         void release(VisitTable&& table);
 
     private:
@@ -140,8 +153,8 @@ private:
 
     /// RAII lease so a table returns to the pool even on exceptions.
     struct VisitLease {
-        VisitLease(VisitTablePool& p, std::size_t n)
-            : pool{&p}, table{p.acquire(n)} {}
+        explicit VisitLease(VisitTablePool& p)
+            : pool{&p}, table{p.acquire()} {}
         ~VisitLease() { pool->release(std::move(table)); }
         VisitLease(const VisitLease&) = delete;
         VisitLease& operator=(const VisitLease&) = delete;
@@ -150,50 +163,72 @@ private:
         VisitTable table;
     };
 
-    [[nodiscard]] float dist(std::span<const float> a,
-                             std::span<const float> b) const;
+    /// Squared L2 (monotone in L2; sqrt only at the API edge). Callers
+    /// count their own calls and add the total to dist_comps_ once.
+    [[nodiscard]] float dist(const float* a, const float* b) const {
+        return squared_l2_(a, b, config_.dim);
+    }
+    [[nodiscard]] const float* point(std::uint32_t id) const {
+        return vectors_.data() + std::size_t{id} * config_.dim;
+    }
     [[nodiscard]] std::size_t random_level();
     [[nodiscard]] std::size_t max_links(std::size_t layer) const {
         return layer == 0 ? config_.M * 2 : config_.M;
     }
 
+    /// Appends one vector to the arena. `vec` may point into the arena.
+    void append_vector(std::span<const float> vec);
+
     /// Greedy descent on one layer: returns the closest node found.
-    [[nodiscard]] std::uint32_t greedy_closest(std::span<const float> query,
+    [[nodiscard]] std::uint32_t greedy_closest(const float* query,
                                                std::uint32_t entry,
-                                               std::size_t layer) const;
+                                               std::size_t layer,
+                                               std::uint64_t& comps) const;
 
     /// Beam search on one layer; returns up to `ef` candidates sorted
-    /// ascending by distance. `visited` is the caller's leased table.
-    [[nodiscard]] std::vector<Candidate> search_layer(
-        std::span<const float> query, std::uint32_t entry, std::size_t ef,
-        std::size_t layer, VisitTable& visited) const;
+    /// ascending by distance. The result lives in `table` and is valid
+    /// until its next search.
+    [[nodiscard]] std::span<Candidate> search_layer(
+        const float* query, std::uint32_t entry, std::size_t ef,
+        std::size_t layer, VisitTable& table, std::uint64_t& comps) const;
 
     /// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): keeps
     /// a candidate only if it is closer to the query than to every
-    /// already-kept neighbor, preserving graph navigability.
-    [[nodiscard]] std::vector<std::uint32_t> select_neighbors(
-        std::span<const float> query, std::vector<Candidate> candidates,
-        std::size_t m) const;
+    /// already-kept neighbor, preserving graph navigability. Sorts
+    /// `candidates` in place and writes the choice to `selected`.
+    void select_neighbors(std::span<Candidate> candidates, std::size_t m,
+                          std::vector<std::uint32_t>& selected,
+                          std::uint64_t& comps);
 
     /// Connects `id` to `neighbors` bidirectionally at `layer`, shrinking
     /// any neighbor that exceeds its link budget via the same heuristic.
     void link(std::uint32_t id, std::span<const std::uint32_t> neighbors,
-              std::size_t layer);
+              std::size_t layer, std::uint64_t& comps);
 
     /// (Re)wires the links of node `id` across all its layers, starting the
     /// descent from the current entry point. Shared by insert and update.
-    void wire_node(std::uint32_t id);
+    void wire_node(std::uint32_t id, std::uint64_t& comps);
 
     HnswConfig config_;
     double level_lambda_;  // 1 / ln(M)
     util::Rng rng_;
+    /// Resolved once: the dispatched kernel, called without a wrapper.
+    float (*squared_l2_)(const float*, const float*, std::size_t);
     std::vector<Node> nodes_;
+    /// All vectors, contiguous: node i's vector is [i*dim, (i+1)*dim).
+    std::vector<float> vectors_;
     std::unordered_map<std::uint32_t, std::uint32_t> label_to_id_;
     std::uint32_t entry_point_ = 0;
     std::size_t max_level_ = 0;
     bool empty_ = true;
     mutable std::atomic<std::uint64_t> dist_comps_{0};
     mutable VisitTablePool visit_pool_;
+    // Writer-owned scratch (used only under the exclusive lock).
+    Marks marks_;
+    std::vector<std::uint32_t> selected_;
+    std::vector<std::uint32_t> pruned_;
+    std::vector<std::uint32_t> keep_;
+    std::vector<Candidate> cands_;
     /// Reader/writer phase lock: queries shared, upserts exclusive.
     mutable std::shared_mutex phase_mutex_;
 };

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 namespace spider::ann {
@@ -33,11 +34,16 @@ T read_scalar(std::istream& is) {
 }
 
 template <typename T>
-void write_vector(std::ostream& os, const std::vector<T>& values) {
+void write_vector(std::ostream& os, std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
     write_scalar<std::uint64_t>(os, values.size());
     os.write(reinterpret_cast<const char*>(values.data()),
              static_cast<std::streamsize>(values.size() * sizeof(T)));
+}
+
+template <typename T>
+void write_vector(std::ostream& os, const std::vector<T>& values) {
+    write_vector(os, std::span<const T>{values});
 }
 
 template <typename T>
@@ -83,9 +89,11 @@ void save_index(const HnswIndex& index, std::ostream& os) {
     write_scalar<std::uint8_t>(os, index.empty_ ? 1 : 0);
 
     write_scalar<std::uint64_t>(os, index.nodes_.size());
-    for (const auto& node : index.nodes_) {
+    for (std::uint32_t id = 0; id < index.nodes_.size(); ++id) {
+        const HnswIndex::Node& node = index.nodes_[id];
         write_scalar<std::uint32_t>(os, node.label);
-        write_vector(os, node.point);
+        write_vector(os, std::span<const float>{index.point(id),
+                                                index.config_.dim});
         write_vector(os, node.in_degree);
         write_scalar<std::uint64_t>(os, node.links.size());
         for (const auto& layer_links : node.links) {
@@ -116,10 +124,11 @@ HnswIndex load_index(std::istream& is) {
     for (std::uint64_t i = 0; i < node_count; ++i) {
         HnswIndex::Node node;
         node.label = read_scalar<std::uint32_t>(is);
-        node.point = read_vector<float>(is);
-        if (node.point.size() != config.dim) {
+        const std::vector<float> point = read_vector<float>(is);
+        if (point.size() != config.dim) {
             throw std::runtime_error{"ann::serialize: node dim mismatch"};
         }
+        index.append_vector(point);
         node.in_degree = read_vector<std::uint32_t>(is);
         const auto levels = read_scalar<std::uint64_t>(is);
         if (levels == 0 || levels > 64) {

@@ -41,7 +41,12 @@ TwoLayerSemanticCache::TwoLayerSemanticCache(std::size_t total_capacity,
     // clamp builds the same partition when passed at construction.
     imp_ratio = std::max(imp_ratio, kMinImpRatio);
     imp_ratio_.store(imp_ratio, std::memory_order_relaxed);
-    if (shards == kAutoShards) shards = auto_shards();
+    if (shards == kAutoShards) {
+        // Never more shards than items: a zero-capacity shard would reject
+        // every admission routed to it.
+        shards = std::min(auto_shards(),
+                          std::max<std::size_t>(total_capacity_, 1));
+    }
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
         const std::size_t capacity = slice_capacity(total_capacity_, shards, s);

@@ -68,7 +68,8 @@ struct Lookup {
 
 class TwoLayerSemanticCache {
 public:
-    /// Sentinel for the `shards` parameter: resolve to auto_shards().
+    /// Sentinel for the `shards` parameter: resolve to auto_shards(),
+    /// capped at max(1, total_capacity) so no shard is left empty.
     static constexpr std::size_t kAutoShards = 0;
     /// Default shard count for concurrent use: min(16, hw_concurrency).
     [[nodiscard]] static std::size_t auto_shards();
@@ -82,7 +83,8 @@ public:
     /// @param imp_ratio       Initial Importance-section fraction (0..1];
     ///                        clamped up to kMinImpRatio.
     /// @param shards          Shard count (1 = legacy single structure;
-    ///                        kAutoShards = min(16, hw_concurrency)).
+    ///                        kAutoShards = min(16, hw_concurrency,
+    ///                        max(1, total_capacity))).
     /// @param lockfree_reads  Serve lookup/probe from the seqlock view
     ///                        (off = every read takes the shard mutex).
     /// @param policies        Per-section eviction policies (DESIGN.md

@@ -106,8 +106,9 @@ bool PrefetchPipeline::consume(std::uint32_t id) {
         failed_.erase(it);
         std::rethrow_exception(error);
     }
-    ready_.erase(id);
-    return true;
+    // Another consumer woken by the same fetch may have claimed it first
+    // (the sampler draws with replacement): only the claimer gets true.
+    return ready_.erase(id) > 0;
 }
 
 std::size_t PrefetchPipeline::discard_ready() {

@@ -92,6 +92,8 @@ public:
     /// is still in flight. Consumes the entry either way. If the fetch
     /// callback threw for `id`, that exception is rethrown here (the entry
     /// is consumed first, so the caller can fall back to a demand fetch).
+    /// When several consumers wait on one fetch, exactly one claims its
+    /// outcome (true, or the rethrow); the others get false.
     bool consume(std::uint32_t id);
 
     /// True when `id` is currently issued-and-unconsumed (either state).

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -432,6 +433,71 @@ TEST(PrefetchConcurrency, ConcurrentFetchExceptionsPropagateToConsumers) {
     for (std::uint32_t i = 0; i < 128; ++i) refill[i] = 1000 + 2 * i;
     EXPECT_EQ(pipeline.prefetch(refill), 128U);
     pipeline.drain();
+}
+
+// The importance sampler draws with replacement, so two loader workers can
+// wait on the same in-flight id. Exactly one of them may claim the fetch's
+// outcome (the rethrow of a failure, or `true` for a success); the other
+// gets `false` and fetches on demand.
+struct ClaimCounts {
+    int rethrown = 0;
+    int claimed = 0;
+    int unclaimed = 0;
+};
+
+ClaimCounts two_waiters_on_one_fetch(bool fetch_fails) {
+    std::atomic<bool> gate{false};
+    core::PrefetchPipeline::Config pc;
+    pc.threads = 1;
+    pc.max_in_flight = 8;
+    core::PrefetchPipeline pipeline{
+        [](std::uint32_t) { return false; },
+        [&gate, fetch_fails](std::uint32_t) {
+            while (!gate.load(std::memory_order_acquire)) {
+                std::this_thread::yield();
+            }
+            if (fetch_fails) throw std::runtime_error{"backend down"};
+        },
+        pc};
+    const std::vector<std::uint32_t> ids{5};
+    EXPECT_EQ(pipeline.prefetch(ids), 1U);
+
+    std::mutex mu;
+    ClaimCounts counts;
+    std::vector<std::thread> waiters;
+    for (int t = 0; t < 2; ++t) {
+        waiters.emplace_back([&] {
+            try {
+                const bool claimed = pipeline.consume(5);
+                const std::lock_guard lock{mu};
+                ++(claimed ? counts.claimed : counts.unclaimed);
+            } catch (const std::runtime_error&) {
+                const std::lock_guard lock{mu};
+                ++counts.rethrown;
+            }
+        });
+    }
+    // `waited` is bumped under the pipeline lock that the wait releases, so
+    // seeing 2 means both consumers are blocked on the in-flight fetch.
+    while (pipeline.stats().waited < 2) std::this_thread::yield();
+    gate.store(true, std::memory_order_release);
+    for (auto& th : waiters) th.join();
+    pipeline.drain();  // the failure, if any, was claimed: no rethrow here
+    return counts;
+}
+
+TEST(PrefetchConcurrency, ConcurrentWaitersOnFailedFetchRethrowOnce) {
+    const ClaimCounts counts = two_waiters_on_one_fetch(/*fetch_fails=*/true);
+    EXPECT_EQ(counts.rethrown, 1);
+    EXPECT_EQ(counts.claimed, 0);
+    EXPECT_EQ(counts.unclaimed, 1);
+}
+
+TEST(PrefetchConcurrency, ConcurrentWaitersOnGoodFetchClaimOnce) {
+    const ClaimCounts counts = two_waiters_on_one_fetch(/*fetch_fails=*/false);
+    EXPECT_EQ(counts.rethrown, 0);
+    EXPECT_EQ(counts.claimed, 1);
+    EXPECT_EQ(counts.unclaimed, 1);
 }
 
 TEST(PrefetchConcurrency, ConcurrentDrainRethrowsUnclaimedFailure) {

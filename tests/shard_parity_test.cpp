@@ -385,6 +385,23 @@ TEST(ShardParity, AutoShardsIsBoundedAndPositive) {
     EXPECT_LE(s, 16U);
     TwoLayerSemanticCache cache{64, 0.5, TwoLayerSemanticCache::kAutoShards};
     EXPECT_EQ(cache.num_shards(), s);
+
+    // Capacities below the core count never yield a zero-capacity shard:
+    // the shard count is capped at the item count (and is at least 1).
+    for (const std::size_t capacity : {0U, 1U, 2U, 3U}) {
+        TwoLayerSemanticCache small{capacity, 0.5,
+                                    TwoLayerSemanticCache::kAutoShards};
+        EXPECT_EQ(small.num_shards(),
+                  std::min(s, std::max<std::size_t>(capacity, 1)))
+            << "capacity " << capacity;
+        if (capacity == 0) continue;
+        for (std::size_t shard = 0; shard < small.num_shards(); ++shard) {
+            EXPECT_GE(small.shard_importance_capacity(shard) +
+                          small.shard_homophily_capacity(shard),
+                      1U)
+                << "capacity " << capacity << " shard " << shard;
+        }
+    }
 }
 
 }  // namespace
