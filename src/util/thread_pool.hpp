@@ -50,8 +50,10 @@ public:
     void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
     /// Chunked variant: runs fn(begin, end) over disjoint ranges of at most
-    /// `grain` elements, amortizing dispatch over whole chunks instead of
-    /// paying one future per element. Always waits for every chunk to
+    /// `grain` elements. The caller and up to one helper task per worker
+    /// claim chunks from a shared cursor, so dispatch costs one queue push
+    /// per helper, and a call made from inside a pool task completes even
+    /// when every worker is busy. Always waits for every claimed chunk to
     /// finish (even when one throws) before rethrowing the first exception
     /// in chunk order. A single-chunk range runs inline on the caller.
     void parallel_for(std::size_t count, std::size_t grain,
