@@ -48,9 +48,12 @@ struct ScorerConfig {
     std::size_t neighbor_max = 64;
     /// ANN beam width for scoring queries (0 = index default).
     std::size_t ef_search = 0;
-    /// Skip re-indexing an embedding that moved less than this distance
-    /// since its last upsert (pure optimization: scores of near-static
-    /// embeddings are unchanged; EXPERIMENTS.md documents the setting).
+    /// Skip re-indexing an embedding that moved less than this L2
+    /// distance (after normalization) since its last upsert; the sample
+    /// is then scored against its stored vector. 0 re-indexes every time.
+    /// The default stays 0: embeddings move further than 0.1 between
+    /// visits almost always, so smaller thresholds skip next to nothing
+    /// (EXPERIMENTS.md, "min_update_distance sweep").
     double min_update_distance = 0.0;
 };
 
