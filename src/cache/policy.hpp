@@ -2,7 +2,7 @@
 
 // Cache-policy interface shared by every eviction strategy in the repo.
 // Caches here track *which sample ids are resident*; the actual payloads
-// live in the dataset (see storage::CacheStore for the byte-budget view).
+// live in the dataset.
 // Capacity is in items: the paper sizes caches as a percentage of the
 // dataset, and samples within a dataset share one serialized size.
 //

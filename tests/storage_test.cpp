@@ -1,5 +1,5 @@
-// Storage substrate tests: virtual clock arithmetic, remote-store fetch
-// cost model and counters, and the byte-budgeted cache store.
+// Storage substrate tests: virtual clock arithmetic and the remote-store
+// fetch cost model and counters.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "storage/cache_store.hpp"
 #include "storage/clock.hpp"
 #include "storage/remote_store.hpp"
 
@@ -119,61 +118,6 @@ TEST(RemoteStore, ContentionCountersResetIndependently) {
     store.reset_counters();
     EXPECT_EQ(store.total_fetches(), 0U);
     EXPECT_EQ(store.peak_in_flight(), 0U);
-}
-
-TEST(CacheStore, CapacityInItems) {
-    CacheStore store{10 * 100, 100};
-    EXPECT_EQ(store.capacity_items(), 10U);
-    for (std::uint32_t i = 0; i < 10; ++i) {
-        EXPECT_TRUE(store.put(i));
-    }
-    EXPECT_FALSE(store.put(10));  // budget exhausted
-    EXPECT_EQ(store.size(), 10U);
-    EXPECT_EQ(store.used_bytes(), 1000U);
-}
-
-TEST(CacheStore, PutEraseLookup) {
-    CacheStore store{1000, 100};
-    EXPECT_TRUE(store.put(1));
-    EXPECT_FALSE(store.put(1));  // duplicate
-    EXPECT_TRUE(store.contains(1));
-    EXPECT_TRUE(store.lookup(1));
-    EXPECT_FALSE(store.lookup(2));
-    EXPECT_EQ(store.hit_count(), 1U);
-    EXPECT_EQ(store.miss_count(), 1U);
-    EXPECT_TRUE(store.erase(1));
-    EXPECT_FALSE(store.erase(1));
-    store.reset_counters();
-    EXPECT_EQ(store.hit_count(), 0U);
-}
-
-TEST(CacheStore, ClearEmptiesStore) {
-    CacheStore store{1000, 10};
-    store.put(1);
-    store.put(2);
-    store.clear();
-    EXPECT_EQ(store.size(), 0U);
-    EXPECT_FALSE(store.contains(1));
-}
-
-TEST(CacheStore, RejectsZeroItemSize) {
-    EXPECT_THROW((CacheStore{100, 0}), std::invalid_argument);
-}
-
-TEST(CacheStore, ThreadSafeUnderContention) {
-    CacheStore store{100000 * 8, 8};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&store, t] {
-            for (std::uint32_t i = 0; i < 1000; ++i) {
-                store.put(static_cast<std::uint32_t>(t) * 1000 + i);
-                store.lookup(i);
-            }
-        });
-    }
-    for (auto& thread : threads) thread.join();
-    EXPECT_EQ(store.size(), 4000U);
-    EXPECT_EQ(store.hit_count() + store.miss_count(), 4000U);
 }
 
 }  // namespace
