@@ -6,7 +6,8 @@
 #                                 # the concurrency-sensitive tests
 #                                 # (concurrent knn, score_batch,
 #                                 # parallel_for, sharded cache, prefetch)
-#                                 # in build-tsan/
+#                                 # and every HNSW test (its search state
+#                                 # is pooled per query) in build-tsan/
 #   tools/run_tier1.sh --asan     # additionally: AddressSanitizer + UBSan
 #                                 # build of the full test suite in
 #                                 # build-asan/
@@ -112,9 +113,10 @@ if [[ "$run_tsan" == 1 ]]; then
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" \
     --target ann_test scorer_test util_test pipeline_test \
-             cache_concurrency_test shard_parity_test fault_tolerance_test
+             cache_concurrency_test shard_parity_test fault_tolerance_test \
+             property_test serialize_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'Concurrent|ScoreBatch|ThreadPool|Pipelined'
+    -R 'Concurrent|ScoreBatch|ThreadPool|Pipelined|Hnsw'
 fi
 
 if [[ "$run_faults" == 1 ]]; then
