@@ -211,10 +211,10 @@ TEST(SemanticCacheProperty, SectionCapacitiesAlwaysSumToTotal) {
     for (int op = 0; op < 500; ++op) {
         const double ratio = rng.uniform(0.05, 1.0);
         cache.set_imp_ratio(ratio);
-        EXPECT_EQ(cache.importance().capacity() + cache.homophily().capacity(),
+        EXPECT_EQ(cache.importance_capacity() + cache.homophily_capacity(),
                   cache.total_capacity());
-        EXPECT_LE(cache.importance().size(), cache.importance().capacity());
-        EXPECT_LE(cache.homophily().size(), cache.homophily().capacity());
+        EXPECT_LE(cache.importance_size(), cache.importance_capacity());
+        EXPECT_LE(cache.homophily_size(), cache.homophily_capacity());
         // Random admissions between resizes.
         cache.on_miss_fetched(static_cast<std::uint32_t>(rng.uniform_index(1000)),
                               rng.uniform());
@@ -232,13 +232,13 @@ TEST(SemanticCacheProperty, LookupNeverMutates) {
     for (std::uint32_t i = 0; i < 40; ++i) {
         cache.on_miss_fetched(i, rng.uniform());
     }
-    const std::size_t imp_before = cache.importance().size();
-    const std::size_t homo_before = cache.homophily().size();
+    const std::size_t imp_before = cache.importance_size();
+    const std::size_t homo_before = cache.homophily_size();
     for (int i = 0; i < 500; ++i) {
         (void)cache.lookup(static_cast<std::uint32_t>(rng.uniform_index(100)));
     }
-    EXPECT_EQ(cache.importance().size(), imp_before);
-    EXPECT_EQ(cache.homophily().size(), homo_before);
+    EXPECT_EQ(cache.importance_size(), imp_before);
+    EXPECT_EQ(cache.homophily_size(), homo_before);
 }
 
 }  // namespace
