@@ -177,7 +177,7 @@ public:
 
     /// Wipes the table in place (allocation reused; concurrent readers see
     /// torn slots and retry). Prelude to a full rebuild after an elastic
-    /// repartition or a legacy direct-section mutation.
+    /// repartition or a section-policy switch.
     void clear() {
         Table& table = *tables_.back();
         for (Slot& slot : table.slots) {
