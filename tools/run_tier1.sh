@@ -26,8 +26,8 @@
 #                                 # concurrency + cross-shard-invariant
 #                                 # oracle tests with cache_lockfree_reads
 #                                 # both on and off, plus the single-
-#                                 # threaded seqlock parity traces, in
-#                                 # build-tsan/
+#                                 # threaded seqlock parity traces and the
+#                                 # golden decision traces, in build-tsan/
 #   tools/run_tier1.sh --server   # additionally: ThreadSanitizer pass over
 #                                 # the cache service (DESIGN.md §10):
 #                                 # event loop + concurrent wire clients,
@@ -44,10 +44,11 @@
 #   tools/run_tier1.sh --policy   # additionally: ThreadSanitizer pass over
 #                                 # the eviction-policy seam and the shadow
 #                                 # tuner (DESIGN.md §13): policy parity
-#                                 # traces, live set_section_policies
-#                                 # switches, tuner determinism, and the
-#                                 # ghost-replay-vs-live-traffic race
-#                                 # check, in build-tsan/
+#                                 # traces, the golden traces of every
+#                                 # section-policy pair, live
+#                                 # set_section_policies switches, tuner
+#                                 # determinism, and the ghost-replay-vs-
+#                                 # live-traffic race check, in build-tsan/
 #   tools/run_tier1.sh --ssd      # additionally: AddressSanitizer + UBSan
 #                                 # pass over the on-disk block store
 #                                 # (DESIGN.md §14): segment framing,
@@ -149,8 +150,10 @@ fi
 if [[ "$run_lockfree" == 1 ]]; then
   echo "== opt-in: ThreadSanitizer pass over the seqlock read path =="
   # The CacheConcurrencyMode suites run every stress/oracle scenario with
-  # cache_lockfree_reads on (seqlock view) and off (mutex reads); the
-  # SeqlockParity traces pin the two modes to identical hit/miss sequences.
+  # cache_lockfree_reads on (seqlock view) and off (mutex reads). Readers
+  # fall back to the mutex only after a bounded run of torn seqlock reads.
+  # The SeqlockParity traces pin the two modes to identical hit/miss
+  # sequences, and CacheGolden pins both to the committed traces.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPIDER_TSAN=ON \
@@ -159,7 +162,7 @@ if [[ "$run_lockfree" == 1 ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target cache_concurrency_test shard_parity_test cache_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'Concurrent|SeqlockParity|ShardParity|ShardedInvariants|SemanticCache'
+    -R 'Concurrent|SeqlockParity|ShardParity|ShardedInvariants|SemanticCache|CacheGolden'
 fi
 
 if [[ "$run_server" == 1 ]]; then
@@ -196,8 +199,9 @@ fi
 
 if [[ "$run_policy" == 1 ]]; then
   echo "== opt-in: ThreadSanitizer pass over the policy seam + tuner =="
-  # The oracle parity traces and shrink audits, live policy switches on a
-  # sharded cache, tuner hysteresis/determinism, and the ShadowConcurrent
+  # The oracle parity traces and shrink audits, the CacheGolden traces of
+  # every section-policy pair, live policy switches on a sharded cache,
+  # tuner hysteresis/determinism, and the ShadowConcurrent
   # scenario (workers hammering the live cache while the driver thread
   # replays into the ghosts), plus the sharded-cache concurrency suite the
   # seam must not regress.
@@ -208,9 +212,9 @@ if [[ "$run_policy" == 1 ]]; then
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" \
     --target policy_test shadow_tuner_test cache_concurrency_test \
-             cache_test
+             cache_test shard_parity_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent'
+    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent|CacheGolden'
 fi
 
 if [[ "$run_chaos" == 1 ]]; then
