@@ -75,8 +75,8 @@ struct SpiderCacheConfig {
     /// safe to call from multiple threads.
     std::size_t scoring_threads = 0;
 
-    /// Shard count of the two-layer cache. 1 (default) keeps the legacy
-    /// single structure and its exact hit/miss/eviction sequence; 0 means
+    /// Shard count of the two-layer cache. 1 (default) reproduces the
+    /// unsharded cache's exact hit/miss/eviction sequence; 0 means
     /// min(16, hw_concurrency). Use > 1 when several trainer workers call
     /// lookup/on_miss_fetched concurrently (the data path is thread-safe
     /// at any shard count; sharding is what makes it scale).

@@ -143,8 +143,8 @@ TrainingSimulator::StrategyParts TrainingSimulator::build_strategy(
             sc.elastic_enabled = config_.elastic_enabled;
             sc.homophily_enabled = config_.strategy == StrategyKind::kSpider;
             sc.seed = config_.seed;
-            // Shards: explicit value wins; auto keeps the legacy single
-            // structure for serial runs and shards for real threading.
+            // Shards: explicit value wins; auto uses one shard (the legacy
+            // sequence) for serial runs and shards for real threading.
             sc.cache_shards = config_.cache_shards;
             if (sc.cache_shards == 0 && resolved_workers() <= 1) {
                 sc.cache_shards = 1;
