@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -28,6 +27,9 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderLen = 16;   // magic | version | seq
 constexpr std::size_t kTrailerLen = 12;  // index_len | index_crc | seal magic
 constexpr std::size_t kIndexEntryLen = 16;  // id | offset | frame_len
+/// A sealed segment keeps the id of every kFenceStride-th index entry in
+/// RAM, so a lookup reads one slice of at most this many entries.
+constexpr std::size_t kFenceStride = 32;
 /// Sample payloads are feature vectors (KBs); anything bigger than this in
 /// a length prefix is a torn or corrupt frame, not a real record.
 constexpr std::uint32_t kMaxRecordPayload = 1U << 24;
@@ -65,18 +67,6 @@ unframe_record(const std::string& frame) {
     std::vector<std::uint8_t> bytes(len - 4);
     std::memcpy(bytes.data(), frame.data() + body_off, len - 4);
     return std::make_pair(id, std::move(bytes));
-}
-
-[[nodiscard]] std::optional<std::string> read_range(const std::string& path,
-                                                    std::uint64_t offset,
-                                                    std::size_t len) {
-    std::ifstream is{path, std::ios::binary};
-    if (!is) return std::nullopt;
-    is.seekg(static_cast<std::streamoff>(offset));
-    std::string bytes(len, '\0');
-    is.read(bytes.data(), static_cast<std::streamsize>(len));
-    if (static_cast<std::size_t>(is.gcount()) != len) return std::nullopt;
-    return bytes;
 }
 
 /// Provisional sizing for the active segment's bloom; the seal rebuilds
@@ -138,8 +128,9 @@ double BloomFilter::theoretical_fpr(std::size_t bits_per_key) {
 
 // ---- SsdBlockStore ---------------------------------------------------
 
-SsdBlockStore::SsdBlockStore(SsdBlockStoreConfig config)
-    : config_{std::move(config)} {
+SsdBlockStore::SsdBlockStore(SsdBlockStoreConfig config,
+                             WriteFaults* faults)
+    : config_{std::move(config)}, faults_{faults} {
     if (config_.dir.empty()) {
         throw std::invalid_argument(
             "ssd_block_store: no directory configured");
@@ -169,6 +160,31 @@ SsdBlockStore::Segment& SsdBlockStore::active_locked() {
     return segments_.rbegin()->second;
 }
 
+void SsdBlockStore::append_locked(Segment& seg, std::string_view bytes) {
+    // A segment started in this process creates its file on first write.
+    if (!seg.file.is_open()) {
+        seg.file = File{seg.path, File::Mode::kReplace, faults_};
+    }
+    seg.file.append(bytes);
+    seg.file_bytes += bytes.size();
+}
+
+void SsdBlockStore::write_pending_locked(Segment& seg) {
+    if (seg.pending.empty()) return;
+    append_locked(seg, seg.pending);
+    seg.pending.clear();
+}
+
+std::optional<std::string> SsdBlockStore::pread_locked(
+    const Segment& seg, std::uint64_t offset, std::size_t len) {
+    ++stats_.disk_reads;
+    std::string bytes(len, '\0');
+    const std::size_t got = seg.file.pread(offset, bytes);
+    stats_.bytes_read += got;
+    if (got != len) return std::nullopt;
+    return bytes;
+}
+
 void SsdBlockStore::start_segment(std::uint64_t seq) {
     Segment seg;
     seg.seq = seq;
@@ -186,7 +202,7 @@ void SsdBlockStore::start_segment(std::uint64_t seq) {
 }
 
 void SsdBlockStore::recover_unsealed(Segment& seg) {
-    const std::string bytes = wire::read_file(seg.path);
+    const std::string bytes = seg.file.read_all();
     std::uint64_t valid = kHeaderLen;
     std::size_t off = kHeaderLen;
     bool torn = false;
@@ -215,7 +231,7 @@ void SsdBlockStore::recover_unsealed(Segment& seg) {
     }
     if (torn) {
         ++stats_.dropped_tail_records;
-        fs::resize_file(seg.path, valid);
+        seg.file.truncate(valid);
     }
     seg.file_bytes = valid;
     seg.total_bytes = valid;
@@ -248,8 +264,9 @@ void SsdBlockStore::open_dir() {
 
     for (std::uint64_t seq : seqs) {
         const std::string path = segment_path(seq);
-        const auto size = fs::file_size(path);
-        const auto header = read_range(path, 0, kHeaderLen);
+        File file{path, File::Mode::kAppend, faults_};
+        const std::uint64_t size = file.size();
+        const auto header = file.read(0, kHeaderLen);
         if (!header) continue;
         std::size_t hoff = 0;
         std::uint32_t magic = 0;
@@ -266,12 +283,13 @@ void SsdBlockStore::open_dir() {
         Segment seg;
         seg.seq = seq;
         seg.path = path;
+        seg.file = std::move(file);
 
         // Sealed if the trailer parses and the index block checks out.
         bool sealed = false;
         if (size >= kHeaderLen + kTrailerLen) {
-            const auto trailer = read_range(path, size - kTrailerLen,
-                                            kTrailerLen);
+            const auto trailer = seg.file.read(size - kTrailerLen,
+                                               kTrailerLen);
             std::size_t toff = 0;
             std::uint32_t index_len = 0;
             std::uint32_t index_crc = 0;
@@ -281,7 +299,7 @@ void SsdBlockStore::open_dir() {
                 seal == kSealMagic &&
                 kHeaderLen + index_len + kTrailerLen <= size) {
                 const std::uint64_t index_off = size - kTrailerLen - index_len;
-                const auto index = read_range(path, index_off, index_len);
+                const auto index = seg.file.read(index_off, index_len);
                 if (index &&
                     checksum32(index->data(), index->size()) == index_crc) {
                     std::size_t ioff = 0;
@@ -291,6 +309,8 @@ void SsdBlockStore::open_dir() {
                             index_len) {
                         std::vector<std::uint32_t> ids;
                         ids.reserve(count);
+                        std::vector<std::uint32_t> fences;
+                        fences.reserve(count / kFenceStride + 1);
                         BloomFilter bloom{count, config_.bloom_bits_per_key};
                         bool ok = true;
                         for (std::uint32_t i = 0; ok && i < count; ++i) {
@@ -302,6 +322,9 @@ void SsdBlockStore::open_dir() {
                                  get(*index, ioff, frame_len);
                             if (ok) {
                                 ids.push_back(id);
+                                if (i % kFenceStride == 0) {
+                                    fences.push_back(id);
+                                }
                                 bloom.add(id);
                             }
                         }
@@ -311,7 +334,8 @@ void SsdBlockStore::open_dir() {
                             seg.file_bytes = size;
                             seg.total_bytes = size;
                             seg.index_offset = index_off;
-                            seg.index_len = index_len;
+                            seg.index_count = count;
+                            seg.fences = std::move(fences);
                             seg.bloom = std::move(bloom);
                             stats_.recovered_records += ids.size();
                             id_sets.emplace_back(seq, std::move(ids));
@@ -398,11 +422,7 @@ void SsdBlockStore::maybe_collect(std::uint64_t seq) {
 void SsdBlockStore::seal_locked(Segment& seg) {
     if (seg.sealed) return;
     // Persist the record region first so index offsets are durable.
-    if (!seg.pending.empty()) {
-        wire::write_file(seg.path, seg.pending, std::ios::app);
-        seg.file_bytes += seg.pending.size();
-        seg.pending.clear();
-    }
+    write_pending_locked(seg);
 
     std::vector<std::pair<std::uint32_t, RecordRef>> entries{
         seg.index.begin(), seg.index.end()};
@@ -414,10 +434,14 @@ void SsdBlockStore::seal_locked(Segment& seg) {
     put<std::uint32_t>(index_payload,
                        static_cast<std::uint32_t>(entries.size()));
     BloomFilter bloom{entries.size(), config_.bloom_bits_per_key};
-    for (const auto& [id, ref] : entries) {
+    std::vector<std::uint32_t> fences;
+    fences.reserve(entries.size() / kFenceStride + 1);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto& [id, ref] = entries[i];
         put<std::uint32_t>(index_payload, id);
         put<std::uint64_t>(index_payload, ref.offset);
         put<std::uint32_t>(index_payload, ref.frame_len);
+        if (i % kFenceStride == 0) fences.push_back(id);
         bloom.add(id);
     }
 
@@ -427,11 +451,11 @@ void SsdBlockStore::seal_locked(Segment& seg) {
     put<std::uint32_t>(block,
                        checksum32(index_payload.data(), index_payload.size()));
     put<std::uint32_t>(block, kSealMagic);
-    wire::write_file(seg.path, block, std::ios::app);
-
     seg.index_offset = seg.file_bytes;
-    seg.index_len = static_cast<std::uint32_t>(index_payload.size());
-    seg.file_bytes += block.size();
+    append_locked(seg, block);
+
+    seg.index_count = static_cast<std::uint32_t>(entries.size());
+    seg.fences = std::move(fences);
     seg.total_bytes += block.size();
     total_bytes_ += block.size();
     sealed_bytes_ += seg.total_bytes;
@@ -466,51 +490,50 @@ void SsdBlockStore::write(std::uint32_t id,
 
 std::optional<std::vector<std::uint8_t>> SsdBlockStore::read_from(
     Segment& seg, std::uint32_t id) {
-    std::string frame;
+    RecordRef ref;
     if (!seg.sealed) {
         auto it = seg.index.find(id);
         if (it == seg.index.end()) {
             ++stats_.bloom_false_positives;
             return std::nullopt;
         }
-        const RecordRef ref = it->second;
+        ref = it->second;
         if (ref.offset >= seg.file_bytes) {
             // Still in the buffered tail — memory, not disk.
-            frame = seg.pending.substr(
+            auto rec = unframe_record(seg.pending.substr(
                 static_cast<std::size_t>(ref.offset - seg.file_bytes),
-                ref.frame_len);
-        } else {
-            ++stats_.disk_reads;
-            auto bytes = read_range(seg.path, ref.offset, ref.frame_len);
-            if (!bytes) return std::nullopt;
-            frame = std::move(*bytes);
+                ref.frame_len));
+            if (!rec || rec->first != id) return std::nullopt;
+            return std::move(rec->second);
         }
     } else {
-        // On-disk index block: one read, binary search, one record read.
-        ++stats_.disk_reads;
-        const auto index = read_range(seg.path, seg.index_offset,
-                                      seg.index_len);
-        if (!index) return std::nullopt;
-        std::size_t off = 0;
-        std::uint32_t count = 0;
-        if (!get(*index, off, count)) return std::nullopt;
+        // The fences name the one index slice that can hold `id`; an id
+        // below the first fence is ruled out without I/O.
+        const auto fence =
+            std::upper_bound(seg.fences.begin(), seg.fences.end(), id);
+        if (fence == seg.fences.begin()) return std::nullopt;
+        const std::size_t first =
+            static_cast<std::size_t>(fence - seg.fences.begin() - 1) *
+            kFenceStride;
+        const std::size_t count =
+            std::min<std::size_t>(kFenceStride, seg.index_count - first);
+        const auto slice = pread_locked(
+            seg, seg.index_offset + 4 + first * kIndexEntryLen,
+            count * kIndexEntryLen);
+        if (!slice) return std::nullopt;
         std::size_t lo = 0;
         std::size_t hi = count;
-        RecordRef ref;
         bool found = false;
         while (lo < hi) {
             const std::size_t mid = lo + (hi - lo) / 2;
-            std::size_t eoff = 4 + mid * kIndexEntryLen;
+            std::size_t eoff = mid * kIndexEntryLen;
             std::uint32_t eid = 0;
-            if (!get(*index, eoff, eid)) return std::nullopt;
+            if (!get(*slice, eoff, eid)) return std::nullopt;
             if (eid == id) {
-                std::uint64_t rec_off = 0;
-                std::uint32_t frame_len = 0;
-                if (!get(*index, eoff, rec_off) ||
-                    !get(*index, eoff, frame_len)) {
+                if (!get(*slice, eoff, ref.offset) ||
+                    !get(*slice, eoff, ref.frame_len)) {
                     return std::nullopt;
                 }
-                ref = RecordRef{rec_off, frame_len};
                 found = true;
                 break;
             }
@@ -524,12 +547,10 @@ std::optional<std::vector<std::uint8_t>> SsdBlockStore::read_from(
             ++stats_.bloom_false_positives;
             return std::nullopt;
         }
-        ++stats_.disk_reads;
-        auto bytes = read_range(seg.path, ref.offset, ref.frame_len);
-        if (!bytes) return std::nullopt;
-        frame = std::move(*bytes);
     }
-    auto rec = unframe_record(frame);
+    const auto frame = pread_locked(seg, ref.offset, ref.frame_len);
+    if (!frame) return std::nullopt;
+    auto rec = unframe_record(*frame);
     if (!rec || rec->first != id) return std::nullopt;
     return std::move(rec->second);
 }
@@ -568,12 +589,7 @@ bool SsdBlockStore::contains(std::uint32_t id) const {
 }
 
 void SsdBlockStore::flush() {
-    for (auto& [seq, seg] : segments_) {
-        if (seg.pending.empty()) continue;
-        wire::write_file(seg.path, seg.pending, std::ios::app);
-        seg.file_bytes += seg.pending.size();
-        seg.pending.clear();
-    }
+    for (auto& [seq, seg] : segments_) write_pending_locked(seg);
 }
 
 void SsdBlockStore::drop_unflushed() {
@@ -609,15 +625,6 @@ std::vector<std::uint32_t> SsdBlockStore::live_ids() const {
     for (const auto& [id, seq] : owner_) ids.push_back(id);
     std::sort(ids.begin(), ids.end());
     return ids;
-}
-
-void SsdBlockStore::refresh_byte_totals() {
-    total_bytes_ = 0;
-    sealed_bytes_ = 0;
-    for (const auto& [seq, seg] : segments_) {
-        total_bytes_ += seg.total_bytes;
-        if (seg.sealed) sealed_bytes_ += seg.total_bytes;
-    }
 }
 
 }  // namespace spider::storage

@@ -16,12 +16,19 @@
 //
 // Read path: segments are probed newest -> oldest. A per-segment bloom
 // filter (double hashing off SplitMix64, k ≈ 0.69 * bits_per_key) gates
-// every probe, so lookups for absent ids touch no disk at all; on a bloom
-// pass the sealed segment's on-disk index block is read and binary
-// searched, then the record itself — both counted as disk reads so the
-// bench can show the bloom eliminating them. Sealed segments keep only
-// their bloom + index location in memory (true LSM behavior); the active
-// segment keeps its full index because it is still being built.
+// every probe, so lookups for absent ids touch no disk at all. Each
+// segment holds one open storage::File from its first write (or from
+// open) until it is collected, cleared or reopened, and reads it with
+// pread. A sealed segment keeps its fences in RAM: the id of every 32nd
+// entry of its sorted on-disk index. On a bloom pass the fences name the
+// one index slice (at most 32 × 16 bytes) that can hold the id; that
+// slice is pread and binary searched, then the record itself is pread.
+// Both preads count in `disk_reads` and their bytes in `bytes_read`, so
+// the bench can show the bloom and the fences eliminating them. An id
+// below the first fence costs no read. RAM holds only the bloom, the
+// fences and the index location of a sealed segment (LSM behavior: index
+// and records stay on disk); the active segment keeps its full index
+// because it is still being built.
 //
 // Write path mirrors CacheWal: appends buffer in memory (the page-cache
 // analogy), flush() persists, drop_unflushed() simulates kill -9 by
@@ -29,6 +36,13 @@
 // actually holds. Overwrites go to the active segment; the older version
 // becomes stale. GC is whole-segment: when every record in a sealed
 // segment is stale (overwritten or erased), the file is deleted.
+//
+// Durability: flush() and sealing put bytes in the OS page cache. They
+// survive kill -9 (what drop_unflushed() models) but not power loss; no
+// fsync is issued. A write that fails part-way (short write, ENOSPC,
+// EIO) is cut back by File::append, so a failed flush() or seal throws
+// with the buffered tail and every offset unchanged, and a retry appends
+// the same bytes at the same place.
 //
 // Thread safety: none — the owning SsdTier serializes access under its
 // own mutex.
@@ -38,8 +52,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "storage/file.hpp"
 
 namespace spider::storage {
 
@@ -86,7 +103,8 @@ struct SsdBlockStoreStats {
     std::uint64_t read_hits = 0;        ///< read() calls returning bytes
     std::uint64_t bloom_skips = 0;      ///< segment probes skipped by bloom
     std::uint64_t bloom_false_positives = 0;  ///< bloom passed, index miss
-    std::uint64_t disk_reads = 0;       ///< index-block + record preads
+    std::uint64_t disk_reads = 0;       ///< index-slice + record preads
+    std::uint64_t bytes_read = 0;       ///< bytes those preads returned
     std::uint64_t segments_sealed = 0;
     std::uint64_t segments_collected = 0;     ///< whole-segment GC deletes
     std::uint64_t recovered_records = 0;      ///< live records seen at open
@@ -95,7 +113,10 @@ struct SsdBlockStoreStats {
 
 class SsdBlockStore {
 public:
-    explicit SsdBlockStore(SsdBlockStoreConfig config);
+    /// `faults` injects write failures into every segment file (tests
+    /// only; see WriteFaults) and must outlive the store.
+    explicit SsdBlockStore(SsdBlockStoreConfig config,
+                           WriteFaults* faults = nullptr);
     ~SsdBlockStore();
 
     SsdBlockStore(const SsdBlockStore&) = delete;
@@ -117,7 +138,8 @@ public:
     /// Exact liveness check against the owner map (no bloom, no disk).
     [[nodiscard]] bool contains(std::uint32_t id) const;
 
-    /// Persist the buffered tail of the active segment.
+    /// Persist the buffered tail of the active segment. On a write error
+    /// it throws and keeps the tail buffered; a later flush() retries.
     void flush();
 
     /// Simulated kill -9: discard the unflushed tail, then recover from
@@ -156,6 +178,9 @@ private:
     struct Segment {
         std::uint64_t seq = 0;
         std::string path;
+        /// Open from the first write (or from open_dir) until the segment
+        /// is collected, cleared or reopened.
+        File file;
         bool sealed = false;
         /// Bytes durably on disk (valid prefix; excludes pending buffer).
         std::uint64_t file_bytes = 0;
@@ -166,9 +191,11 @@ private:
         /// id -> newest record in this segment. Active segments only;
         /// sealed segments drop it and rely on the on-disk index.
         std::unordered_map<std::uint32_t, RecordRef> index;
-        /// On-disk index block location (sealed segments).
+        /// On-disk index block location and entry count (sealed segments).
         std::uint64_t index_offset = 0;
-        std::uint32_t index_len = 0;
+        std::uint32_t index_count = 0;
+        /// Id of every kFenceStride-th index entry (sealed segments).
+        std::vector<std::uint32_t> fences;
         /// How many ids in this segment the owner map still points at.
         std::size_t live = 0;
         BloomFilter bloom;
@@ -176,6 +203,12 @@ private:
 
     [[nodiscard]] std::string segment_path(std::uint64_t seq) const;
     Segment& active_locked();
+    /// All-or-nothing append; file_bytes moves only on success.
+    void append_locked(Segment& seg, std::string_view bytes);
+    void write_pending_locked(Segment& seg);
+    /// One counted pread: exactly `len` bytes at `offset`, or nullopt.
+    [[nodiscard]] std::optional<std::string> pread_locked(
+        const Segment& seg, std::uint64_t offset, std::size_t len);
     void open_dir();
     void start_segment(std::uint64_t seq);
     /// Scan an unsealed segment file, truncating a torn/corrupt tail.
@@ -185,7 +218,6 @@ private:
     void account_owner(std::uint32_t id, std::uint64_t new_seq);
     [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_from(
         Segment& seg, std::uint32_t id);
-    void refresh_byte_totals();
 
     SsdBlockStoreConfig config_;
     /// seq -> segment, ordered so rbegin() is newest.
@@ -195,6 +227,7 @@ private:
     std::size_t total_bytes_ = 0;
     std::size_t sealed_bytes_ = 0;
     SsdBlockStoreStats stats_;
+    WriteFaults* faults_ = nullptr;
 };
 
 }  // namespace spider::storage

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <list>
 #include <stdexcept>
 #include <unordered_map>
@@ -19,12 +18,6 @@ namespace {
 using wire::checksum32;
 using wire::get;
 using wire::put;
-using wire::read_file;
-
-void write_file(const std::string& path, const std::string& bytes,
-                std::ios::openmode mode) {
-    wire::write_file(path, bytes, mode);
-}
 
 /// A single record can describe one homophily entry; its neighbor list
 /// is small (one per resident key). Anything bigger than this is a torn
@@ -77,13 +70,15 @@ constexpr std::uint32_t kMaxPayload = 1U << 20;
 
 }  // namespace
 
-CacheWal::CacheWal(WalConfig config) : config_{std::move(config)} {
+CacheWal::CacheWal(WalConfig config, WriteFaults* faults)
+    : config_{std::move(config)}, faults_{faults} {
     if (!config_.enabled) return;
     if (config_.dir.empty()) {
         throw std::invalid_argument(
             "wal: enabled but no directory configured (set wal.dir)");
     }
     std::filesystem::create_directories(config_.dir);
+    log_ = File{wal_path(), File::Mode::kAppend, faults_};
 }
 
 CacheWal::~CacheWal() {
@@ -106,23 +101,23 @@ std::string CacheWal::snapshot_path() const {
     return (std::filesystem::path{config_.dir} / "cache.snapshot").string();
 }
 
+void CacheWal::write_pending_locked() {
+    log_.append(pending_);  // all or nothing: on a throw pending_ stays
+    pending_.clear();
+}
+
 void CacheWal::append(const cache::ResidencyRecord& record) {
     if (!config_.enabled) return;
     const std::lock_guard lock{mu_};
     pending_ += serialize(record);
     ++appended_;
-    if (config_.sync_every_append) {
-        write_file(wal_path(), pending_, std::ios::app);
-        pending_.clear();
-    }
+    if (config_.sync_every_append) write_pending_locked();
 }
 
 void CacheWal::flush() {
     if (!config_.enabled) return;
     const std::lock_guard lock{mu_};
-    if (pending_.empty()) return;
-    write_file(wal_path(), pending_, std::ios::app);
-    pending_.clear();
+    write_pending_locked();
 }
 
 void CacheWal::drop_unflushed() {
@@ -158,10 +153,10 @@ void CacheWal::compact(const cache::RestoreImage& image) {
     }
     // Tmp + rename so a crash mid-compaction keeps the old snapshot.
     const std::string tmp = snapshot_path() + ".tmp";
-    write_file(tmp, bytes, std::ios::trunc);
+    File{tmp, File::Mode::kReplace, faults_}.append(bytes);
     std::filesystem::rename(tmp, snapshot_path());
     // Everything folded into the snapshot: the log starts over.
-    write_file(wal_path(), "", std::ios::trunc);
+    log_.truncate(0);
     pending_.clear();
 }
 
@@ -272,11 +267,16 @@ cache::RestoreImage CacheWal::load() {
     if (!config_.enabled) return {};
     const std::lock_guard lock{mu_};
     dropped_ = 0;
+    std::string snapshot;
+    std::error_code ec;
+    if (std::filesystem::exists(snapshot_path(), ec)) {
+        snapshot = File{snapshot_path(), File::Mode::kRead}.read_all();
+    }
     std::vector<cache::ResidencyRecord> snapshot_records;
-    dropped_ += parse_records(read_file(snapshot_path()), snapshot_records);
+    dropped_ += parse_records(snapshot, snapshot_records);
     cache::RestoreImage image = fold({}, snapshot_records);
     std::vector<cache::ResidencyRecord> log_records;
-    dropped_ += parse_records(read_file(wal_path()), log_records);
+    dropped_ += parse_records(log_.read_all(), log_records);
     return fold(std::move(image), log_records);
 }
 

@@ -21,6 +21,15 @@
 // log can honor after an unclean death. The snapshot is written to a
 // temp file and renamed into place so a crash mid-compaction leaves the
 // previous snapshot intact.
+//
+// Disk access goes through storage::File: the log stays open for the
+// handle's life, and every append is all-or-nothing, so a write that
+// fails part-way (short write, ENOSPC, EIO) leaves the log at its last
+// good length and the records buffered for a retry.
+//
+// Durability: flush() and sync_every_append put records in the OS page
+// cache. They survive kill -9 (what drop_unflushed() models) but not
+// power loss; no fsync is issued.
 
 #include <cstdint>
 #include <mutex>
@@ -28,6 +37,7 @@
 #include <vector>
 
 #include "cache/residency_log.hpp"
+#include "storage/file.hpp"
 
 namespace spider::storage {
 
@@ -37,15 +47,19 @@ struct WalConfig {
     /// Directory holding `cache.wal` and `cache.snapshot`; created on
     /// first use. Required when enabled.
     std::string dir;
-    /// Flush the OS buffer on every append (slower, loses nothing before
-    /// the tear). Off = flush only at compaction, so a crash can lose the
-    /// buffered tail — the realistic default the warm-restart bench uses.
+    /// Write each record to the OS page cache as it is appended (slower,
+    /// a kill -9 loses nothing before the tear). Off = write only at
+    /// flush and compaction, so a crash can lose the buffered tail — the
+    /// realistic default the warm-restart bench uses. Neither setting
+    /// survives power loss: no fsync is issued.
     bool sync_every_append = false;
 };
 
 class CacheWal {
 public:
-    explicit CacheWal(WalConfig config);
+    /// `faults` injects write failures into the log and snapshot files
+    /// (tests only; see WriteFaults) and must outlive the WAL.
+    explicit CacheWal(WalConfig config, WriteFaults* faults = nullptr);
     ~CacheWal();
 
     CacheWal(const CacheWal&) = delete;
@@ -57,7 +71,8 @@ public:
     /// Appends one record to the log. Thread-safe (internal mutex); safe
     /// to call from cache listeners holding shard locks — the WAL never
     /// calls back into the cache, so the shard -> wal lock order is
-    /// acyclic.
+    /// acyclic. With sync_every_append a write error throws and the
+    /// record stays buffered; the next append() or flush() retries it.
     void append(const cache::ResidencyRecord& record);
 
     /// Folds `image` into a fresh snapshot (tmp file + rename) and
@@ -68,7 +83,8 @@ public:
     /// the first corrupt/torn record of either file. Thread-safe.
     [[nodiscard]] cache::RestoreImage load();
 
-    /// Forces buffered appends to the OS.
+    /// Forces buffered appends to the OS page cache. On a write error it
+    /// throws and keeps them buffered; a later flush() retries.
     void flush();
 
     /// Crash simulation: discards the buffered unflushed tail, exactly
@@ -97,9 +113,12 @@ private:
     /// tear ends parsing).
     static std::uint64_t parse_records(const std::string& bytes,
                                        std::vector<cache::ResidencyRecord>& out);
+    void write_pending_locked();
 
     WalConfig config_;
+    WriteFaults* faults_ = nullptr;
     mutable std::mutex mu_;
+    File log_;  ///< cache.wal, open while enabled
     /// Buffered unflushed tail of the log (simulates the page cache a
     /// kill -9 would lose when sync_every_append is off).
     std::string pending_;

@@ -13,9 +13,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <iterator>
-#include <stdexcept>
 #include <string>
 
 namespace spider::storage::wire {
@@ -58,25 +55,6 @@ template <typename T>
     std::memcpy(&value, in.data() + off, sizeof(T));
     off += sizeof(T);
     return true;
-}
-
-[[nodiscard]] inline std::string read_file(const std::string& path) {
-    std::ifstream is{path, std::ios::binary};
-    if (!is) return {};
-    std::string bytes{std::istreambuf_iterator<char>{is},
-                      std::istreambuf_iterator<char>{}};
-    return bytes;
-}
-
-inline void write_file(const std::string& path, const std::string& bytes,
-                       std::ios::openmode mode) {
-    std::ofstream os{path, std::ios::binary | mode};
-    if (!os) {
-        throw std::runtime_error("storage: cannot open " + path +
-                                 " for writing");
-    }
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!os) throw std::runtime_error("storage: short write to " + path);
 }
 
 }  // namespace spider::storage::wire

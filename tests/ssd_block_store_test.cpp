@@ -1,14 +1,19 @@
 // SSD block store suite (DESIGN.md §14): segment-file round trips,
 // rotation + reopen of sealed segments, torn-tail and corrupted-CRC
 // recovery, bloom FPR against the theoretical bound, whole-segment GC,
-// and kill -9 payload durability (flushed bytes come back identical).
+// kill -9 payload durability (flushed bytes come back identical), fence
+// slices at every stride boundary with their per-hit read cost, and
+// flush/seal under injected write faults (short write, ENOSPC, EIO).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,15 @@ protected:
         std::mt19937 rng{id * 2654435761U + 1};
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
         return bytes;
+    }
+
+    /// Bytes of every segment file on disk (0 before the first write).
+    [[nodiscard]] std::uint64_t bytes_on_disk() const {
+        std::uint64_t n = 0;
+        for (const auto& entry : fs::directory_iterator(dir_)) {
+            if (entry.path().extension() == ".spb") n += entry.file_size();
+        }
+        return n;
     }
 
     [[nodiscard]] std::size_t segment_files() const {
@@ -303,6 +317,184 @@ TEST_F(SsdBlockStoreTest, ContainsTracksLivenessNotDiskBytes) {
     // Bytes may still sit in the active segment (LSM tombstone horizon);
     // liveness is the owner map's call, which is what the tier consults.
 }
+
+// ------------------------------------------------------------ fence slices
+
+// Header 16 B; a frame is [len][crc][id | payload].
+constexpr std::uint64_t kHeaderBytes = 16;
+constexpr std::uint64_t kFrameBytes = 8 + 4 + 64;
+constexpr std::uint64_t kEntryBytes = 16;
+constexpr std::uint64_t kStride = 32;
+
+struct ReadCost {
+    std::uint64_t disk_reads = 0;
+    std::uint64_t bytes_read = 0;
+    std::uint64_t false_positives = 0;
+};
+
+ReadCost cost_of(SsdBlockStore& store, std::uint32_t id,
+                 std::optional<std::vector<std::uint8_t>>& out) {
+    const SsdBlockStoreStats before = store.stats();
+    out = store.read(id);
+    const SsdBlockStoreStats& after = store.stats();
+    return {after.disk_reads - before.disk_reads,
+            after.bytes_read - before.bytes_read,
+            after.bloom_false_positives - before.bloom_false_positives};
+}
+
+TEST_F(SsdBlockStoreTest, FenceSlicesCoverEveryStrideBoundary) {
+    // Five full strides and a partial one; ids step by 3 so absent ids
+    // sit between present ones. With the bloom off every probe reaches
+    // the fences, and the empty active segment answers each probe from
+    // its in-memory index (one false positive, no I/O).
+    constexpr std::uint32_t kCount = 5 * kStride + 7;
+    const auto id_at = [](std::uint64_t i) {
+        return static_cast<std::uint32_t>(100 + 3 * i);
+    };
+    SsdBlockStoreConfig c = config();
+    c.bloom_bits_per_key = 0;
+
+    const auto check = [&](SsdBlockStore& store) {
+        std::optional<std::vector<std::uint8_t>> got;
+        for (std::uint64_t first = 0; first < kCount; first += kStride) {
+            const std::uint64_t last =
+                std::min<std::uint64_t>(first + kStride, kCount) - 1;
+            const std::uint64_t slice = (last - first + 1) * kEntryBytes;
+            for (const std::uint64_t i : {first, last}) {
+                const ReadCost cost = cost_of(store, id_at(i), got);
+                ASSERT_TRUE(got.has_value()) << i;
+                EXPECT_EQ(*got, payload_for(id_at(i))) << i;
+                // A sealed hit: one slice pread plus one record pread.
+                EXPECT_EQ(cost.disk_reads, 2U) << i;
+                EXPECT_EQ(cost.bytes_read, slice + kFrameBytes) << i;
+                EXPECT_LE(cost.bytes_read, kStride * kEntryBytes + kFrameBytes);
+                EXPECT_EQ(cost.false_positives, 1U) << i;  // the active one
+            }
+        }
+
+        // Below the first fence: ruled out without I/O.
+        ReadCost cost = cost_of(store, id_at(0) - 1, got);
+        EXPECT_FALSE(got.has_value());
+        EXPECT_EQ(cost.disk_reads, 0U);
+        EXPECT_EQ(cost.bytes_read, 0U);
+        EXPECT_EQ(cost.false_positives, 1U);
+        // Between two fences: one full slice read, a false positive.
+        cost = cost_of(store, id_at(2 * kStride + 5) + 1, got);
+        EXPECT_FALSE(got.has_value());
+        EXPECT_EQ(cost.disk_reads, 1U);
+        EXPECT_EQ(cost.bytes_read, kStride * kEntryBytes);
+        EXPECT_EQ(cost.false_positives, 2U);
+        // Above the last id: the partial last slice, a false positive.
+        cost = cost_of(store, id_at(kCount - 1) + 1, got);
+        EXPECT_FALSE(got.has_value());
+        EXPECT_EQ(cost.disk_reads, 1U);
+        EXPECT_EQ(cost.bytes_read, 7 * kEntryBytes);
+        EXPECT_EQ(cost.false_positives, 2U);
+    };
+
+    {
+        SsdBlockStore store{c};
+        for (std::uint32_t i = 0; i < kCount; ++i) {
+            store.write(id_at(i), payload_for(id_at(i)));
+        }
+        store.seal_active();
+        check(store);
+    }
+    // Reopened: the fences are rebuilt from the on-disk index block.
+    SsdBlockStore reopened{c};
+    EXPECT_EQ(reopened.live_items(), kCount);
+    check(reopened);
+}
+
+TEST_F(SsdBlockStoreTest, UnsealedDiskHitReadsOnlyItsFrame) {
+    SsdBlockStore store{config()};
+    store.write(7, payload_for(7));
+    std::optional<std::vector<std::uint8_t>> got;
+    ReadCost cost = cost_of(store, 7, got);  // still buffered
+    EXPECT_EQ(got.value(), payload_for(7));
+    EXPECT_EQ(cost.disk_reads, 0U);
+    store.flush();
+    cost = cost_of(store, 7, got);
+    EXPECT_EQ(got.value(), payload_for(7));
+    EXPECT_EQ(cost.disk_reads, 1U);
+    EXPECT_EQ(cost.bytes_read, kFrameBytes);
+}
+
+// ----------------------------------------------------- injected write faults
+
+class SsdBlockStoreFault
+    : public SsdBlockStoreTest,
+      public ::testing::WithParamInterface<WriteFaults::Kind> {};
+
+TEST_P(SsdBlockStoreFault, FailedFlushKeepsTheTailAndARetryRecoversAll) {
+    WriteFaults faults{.kind = GetParam()};
+    {
+        SsdBlockStore store{config(), &faults};
+        for (std::uint32_t id = 0; id < 20; ++id) {
+            store.write(id, payload_for(id));
+        }
+        store.flush();
+        const std::uint64_t good = bytes_on_disk();
+        EXPECT_EQ(good, kHeaderBytes + 20 * kFrameBytes);
+        for (std::uint32_t id = 20; id < 40; ++id) {
+            store.write(id, payload_for(id));
+        }
+        faults.nth = faults.appends + 1;
+        EXPECT_THROW(store.flush(), std::runtime_error);
+        EXPECT_EQ(bytes_on_disk(), good);
+        // The tail stays buffered and readable.
+        EXPECT_EQ(store.read(30).value(), payload_for(30));
+        store.flush();  // the retry
+        EXPECT_EQ(bytes_on_disk(), good + 20 * kFrameBytes);
+    }
+    SsdBlockStore reopened{config()};
+    EXPECT_EQ(reopened.stats().dropped_tail_records, 0U);
+    EXPECT_EQ(reopened.live_items(), 40U);
+    for (std::uint32_t id = 0; id < 40; ++id) {
+        EXPECT_EQ(reopened.read(id).value(), payload_for(id)) << id;
+    }
+}
+
+TEST_P(SsdBlockStoreFault, FailedSealLeavesTheSegmentUnsealedAndARetrySeals) {
+    // Sealing appends twice: the buffered records, then the index block
+    // and trailer. Fail each in turn.
+    for (const std::uint64_t failing : {1U, 2U}) {
+        SCOPED_TRACE(failing == 1 ? "records fail" : "index block fails");
+        fs::remove_all(dir_);
+        WriteFaults faults{.kind = GetParam()};
+        {
+            SsdBlockStore store{config(), &faults};
+            for (std::uint32_t id = 0; id < 50; ++id) {
+                store.write(id, payload_for(id));
+            }
+            faults.nth = faults.appends + failing;
+            EXPECT_THROW(store.seal_active(), std::runtime_error);
+            EXPECT_EQ(store.stats().segments_sealed, 0U);
+            EXPECT_EQ(bytes_on_disk(),
+                      failing == 1 ? 0U : kHeaderBytes + 50 * kFrameBytes);
+            for (std::uint32_t id = 0; id < 50; ++id) {
+                EXPECT_EQ(store.read(id).value(), payload_for(id)) << id;
+            }
+            store.seal_active();  // the retry
+            EXPECT_EQ(store.stats().segments_sealed, 1U);
+        }
+        SsdBlockStore reopened{config()};
+        EXPECT_EQ(reopened.stats().dropped_tail_records, 0U);
+        EXPECT_EQ(reopened.stats().recovered_records, 50U);
+        EXPECT_GT(reopened.sealed_bytes(), 0U);  // reopened as sealed
+        for (std::uint32_t id = 0; id < 50; ++id) {
+            EXPECT_EQ(reopened.read(id).value(), payload_for(id)) << id;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, SsdBlockStoreFault,
+    ::testing::Values(WriteFaults::Kind::kShortWrite,
+                      WriteFaults::Kind::kNoSpace, WriteFaults::Kind::kIo),
+    [](const ::testing::TestParamInfo<WriteFaults::Kind>& info) {
+        return std::string{to_string(info.param)};
+    });
 
 }  // namespace
 }  // namespace spider::storage

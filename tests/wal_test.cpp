@@ -2,13 +2,16 @@
 // tails end replay without poisoning the prefix, kill -9 loses exactly the
 // unflushed buffer, fold() implements the section semantics (last-writer
 // importance, FIFO homophily, LRU ssd), and a listener-streamed cache can
-// be rebuilt warm — including across a shard-count change.
+// be rebuilt warm — including across a shard-count change. Under injected
+// write faults (short write, ENOSPC, EIO) a failed flush or synced append
+// leaves the log at its last good length, and a retry loses nothing.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -278,6 +281,76 @@ TEST_F(WalTest, SsdTierRoundTripsThroughListenerAndRestore) {
     after.insert(100);
     EXPECT_EQ(after.dump_residency(), before.dump_residency());
 }
+
+// ------------------------------------------------- injected write faults
+
+class WalFault : public WalTest,
+                 public ::testing::WithParamInterface<storage::WriteFaults::Kind> {
+};
+
+TEST_P(WalFault, FailedFlushKeepsTheLogAtItsLastGoodLength) {
+    storage::WriteFaults faults{.kind = GetParam()};
+    const auto log = dir_ / "cache.wal";
+    {
+        storage::CacheWal wal{config(), &faults};
+        for (std::uint32_t id = 0; id < 5; ++id) wal.append(admit(id, 0.1));
+        wal.flush();
+        const auto good = std::filesystem::file_size(log);
+        ASSERT_GT(good, 0U);
+        for (std::uint32_t id = 5; id < 10; ++id) wal.append(admit(id, 0.1));
+        faults.nth = faults.appends + 1;
+        EXPECT_THROW(wal.flush(), std::runtime_error);
+        EXPECT_EQ(std::filesystem::file_size(log), good);
+        wal.flush();  // the retry
+        EXPECT_EQ(std::filesystem::file_size(log), 2 * good);
+    }
+    storage::CacheWal reopened{config()};
+    EXPECT_EQ(reopened.load().importance.size(), 10U);
+    EXPECT_EQ(reopened.dropped_records(), 0U);
+}
+
+TEST_P(WalFault, FailedSyncedAppendKeepsTheRecordForTheRetry) {
+    storage::WriteFaults faults{.kind = GetParam()};
+    const auto log = dir_ / "cache.wal";
+    {
+        storage::CacheWal wal{config(/*sync=*/true), &faults};
+        for (std::uint32_t id = 0; id < 3; ++id) wal.append(admit(id, 0.1));
+        const auto good = std::filesystem::file_size(log);
+        faults.nth = faults.appends + 1;
+        EXPECT_THROW(wal.append(admit(3, 0.1)), std::runtime_error);
+        EXPECT_EQ(std::filesystem::file_size(log), good);
+        wal.flush();  // the retry writes the buffered record
+        wal.append(admit(4, 0.1));
+        wal.drop_unflushed();  // kill -9: every record already reached the OS
+    }
+    storage::CacheWal reopened{config()};
+    EXPECT_EQ(reopened.load().importance.size(), 5U);
+    EXPECT_EQ(reopened.dropped_records(), 0U);
+}
+
+TEST_P(WalFault, FailedCompactionKeepsThePreviousSnapshot) {
+    storage::WriteFaults faults{.kind = GetParam()};
+    storage::CacheWal wal{config(), &faults};
+    RestoreImage first;
+    first.importance = {{1, 1.0}};
+    wal.compact(first);
+    RestoreImage second;
+    second.importance = {{2, 2.0}, {3, 3.0}};
+    faults.nth = faults.appends + 1;
+    EXPECT_THROW(wal.compact(second), std::runtime_error);
+    EXPECT_EQ(wal.load().importance, first.importance);
+    wal.compact(second);  // the retry
+    EXPECT_EQ(wal.load().importance, second.importance);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, WalFault,
+    ::testing::Values(storage::WriteFaults::Kind::kShortWrite,
+                      storage::WriteFaults::Kind::kNoSpace,
+                      storage::WriteFaults::Kind::kIo),
+    [](const ::testing::TestParamInfo<storage::WriteFaults::Kind>& info) {
+        return std::string{storage::to_string(info.param)};
+    });
 
 }  // namespace
 }  // namespace spider

@@ -51,11 +51,12 @@
 #                                 # live-traffic race check, in build-tsan/
 #   tools/run_tier1.sh --ssd      # additionally: AddressSanitizer + UBSan
 #                                 # pass over the on-disk block store
-#                                 # (DESIGN.md §14): segment framing,
-#                                 # torn-tail/CRC recovery, bloom-guarded
-#                                 # reads, whole-segment GC, and the
-#                                 # tier/WAL restore drift fixes, in
-#                                 # build-asan/
+#                                 # (DESIGN.md §14): the storage::File
+#                                 # handle, segment framing, torn-tail/CRC
+#                                 # recovery, bloom-guarded fence-slice
+#                                 # reads, whole-segment GC, injected
+#                                 # write faults, and the tier/WAL restore
+#                                 # drift fixes, in build-asan/
 #   tools/run_tier1.sh --chaos    # additionally: ThreadSanitizer build of
 #                                 # the chaos/soak harness (DESIGN.md §12)
 #                                 # plus the WAL / warm-restart / weather
@@ -232,25 +233,28 @@ if [[ "$run_chaos" == 1 ]]; then
     --target spider_chaos wal_test fault_tolerance_test \
              cache_concurrency_test ssd_tier_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'WalTest|Weather|ChaosSmoke|FaultModel|SsdTierConcurrent|ConcurrentOracle'
+    -R 'WalTest|WalFault|Weather|ChaosSmoke|FaultModel|SsdTierConcurrent|ConcurrentOracle'
 fi
 
 if [[ "$run_ssd" == 1 ]]; then
   echo "== opt-in: ASan + UBSan pass over the on-disk block store =="
-  # Heavy pointer/offset arithmetic (frame packing, index binary search,
-  # preads at computed offsets) makes ASan the right sanitizer here; the
-  # suite covers segment round trips, torn-tail + corrupt-CRC recovery,
-  # bloom FPR, GC, kill -9 payload durability, and the residency/WAL
-  # drift regressions (restore-streamed evictions, disabled-tier misses).
+  # Heavy pointer/offset arithmetic (frame packing, fence-slice binary
+  # search, preads at computed offsets) makes ASan the right sanitizer
+  # here; the suite covers the File handle and its all-or-nothing append,
+  # segment round trips, torn-tail + corrupt-CRC recovery, bloom FPR,
+  # fence boundaries, GC, kill -9 payload durability, flush/seal/WAL
+  # writes under injected short-write/ENOSPC/EIO faults, and the
+  # residency/WAL drift regressions (restore-streamed evictions,
+  # disabled-tier misses).
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPIDER_ASAN=ON \
     -DSPIDER_BUILD_BENCH=OFF \
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j "$jobs" \
-    --target ssd_block_store_test ssd_tier_test wal_test
+    --target file_test ssd_block_store_test ssd_tier_test wal_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'SsdBlockStore|SsdTier|WalTest'
+    -R 'StorageFile|SsdBlockStore|SsdTier|WalTest|WalFault'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
