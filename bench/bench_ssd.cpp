@@ -4,8 +4,10 @@
 //   (a) bloom effectiveness: disk reads per absent-id lookup against a
 //       sealed segment set, bloom on vs bloom off. The miss path should
 //       touch (almost) no disk with the filter on — each false positive
-//       costs exactly one index-block read — and exactly one index-block
-//       read per sealed-segment probe with it off.
+//       costs exactly one index-slice read — and exactly one index-slice
+//       read per sealed-segment probe with it off. Then every key is read
+//       back: bytes read per sealed hit show the fence slice (at most
+//       32 index entries) plus the record frame.
 //   (b) simulator parity: a block-mode run must reproduce the residency
 //       model's per-epoch SSD hit accounting bit for bit (the store moves
 //       bytes, never residency decisions).
@@ -59,10 +61,12 @@ struct BloomPoint {
     double skips_per_lookup = 0.0;  // segment probes the bloom rejected
     double probes_per_lookup = 0.0;  // segments each absent lookup walks
     std::uint64_t disk_reads = 0;
+    double bytes_read_per_sealed_hit = 0.0;
 };
 
 /// Writes `keys` records, seals everything, then looks up `lookups`
-/// absent ids and reports what the bloom let through to disk.
+/// absent ids and reports what the bloom let through to disk, and what
+/// reading every key back costs.
 BloomPoint absent_lookup_cost(std::size_t keys, std::size_t lookups,
                               std::size_t bits_per_key) {
     TempDir dir{"bloom_" + std::to_string(bits_per_key)};
@@ -94,6 +98,11 @@ BloomPoint absent_lookup_cost(std::size_t keys, std::size_t lookups,
     // An absent id is never found, so read() walks every segment: the
     // sealed one holding all keys and the empty active one after it.
     point.probes_per_lookup = static_cast<double>(store.segment_count());
+
+    for (std::uint32_t id = 0; id < keys; ++id) (void)store.read(id);
+    point.bytes_read_per_sealed_hit =
+        static_cast<double>(store.stats().bytes_read - after.bytes_read) /
+        static_cast<double>(keys);
     return point;
 }
 
@@ -212,19 +221,22 @@ int main(int argc, char** argv) {
     // bloom rejects counts as one skip. Only the sealed segment holds
     // keys, so false positives per lookup are that filter's FP rate.
     bloom_table.set_header({"bits/key", "disk reads/lookup", "probes/lookup",
-                            "skips/lookup", "FPs/lookup", "theoretical FPR"});
+                            "skips/lookup", "FPs/lookup", "theoretical FPR",
+                            "bytes/sealed hit"});
     bloom_table.add_row(
         {"10", spider::util::Table::fmt(with_bloom.disk_reads_per_lookup, 4),
          spider::util::Table::fmt(with_bloom.probes_per_lookup, 2),
          spider::util::Table::fmt(with_bloom.skips_per_lookup, 2),
          spider::util::Table::fmt(with_bloom.fp_per_lookup, 4),
-         spider::util::Table::fmt(theoretical, 4)});
+         spider::util::Table::fmt(theoretical, 4),
+         spider::util::Table::fmt(with_bloom.bytes_read_per_sealed_hit, 1)});
     bloom_table.add_row(
         {"0 (off)",
          spider::util::Table::fmt(no_bloom.disk_reads_per_lookup, 4),
          spider::util::Table::fmt(no_bloom.probes_per_lookup, 2),
          spider::util::Table::fmt(no_bloom.skips_per_lookup, 2), "n/a",
-         "n/a"});
+         "n/a",
+         spider::util::Table::fmt(no_bloom.bytes_read_per_sealed_hit, 1)});
     bloom_table.print(std::cout);
     std::cout << "\n";
 
@@ -269,6 +281,9 @@ int main(int argc, char** argv) {
           "bloom FP rate within 2x theoretical");
     check(no_bloom.disk_reads_per_lookup >= 1.0,
           "bloom off: every absent lookup hits disk");
+    // 32 index entries of 16 B plus one frame of [len][crc][id | 64 B].
+    check(with_bloom.bytes_read_per_sealed_hit <= 32 * 16 + 8 + 4 + 64,
+          "sealed hit reads one index slice plus its record");
     check(parity.epochs_match,
           "block-mode hit accounting matches residency model per epoch");
     check(gc.segments_collected > 0, "GC collected stale segments");
@@ -290,6 +305,8 @@ int main(int argc, char** argv) {
              << with_bloom.probes_per_lookup
              << ", \"skips_per_lookup\": " << with_bloom.skips_per_lookup
              << ",\n"
+             << "    \"bytes_read_per_sealed_hit\": "
+             << with_bloom.bytes_read_per_sealed_hit << ",\n"
              << "    \"nobloom_disk_reads_per_lookup\": "
              << no_bloom.disk_reads_per_lookup << "\n  },\n"
              << "  \"parity\": {\n"
