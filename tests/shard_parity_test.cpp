@@ -24,8 +24,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,10 +33,15 @@
 #include "cache/homophily_cache.hpp"
 #include "cache/importance_cache.hpp"
 #include "cache/semantic_cache.hpp"
+#include "golden_rows.hpp"
 #include "util/rng.hpp"
 
 namespace spider::cache {
 namespace {
+
+using golden::expect_golden;
+using golden::expect_same_rows;
+using golden::row_of;
 
 // ------------------------------------------------------------------------
 // Reference model: the pre-sharding TwoLayerSemanticCache — one Importance
@@ -153,12 +156,6 @@ constexpr std::size_t kTraceCapacity = 64;
 constexpr double kTraceRatio = 0.7;
 constexpr int kTraceOps = 20000;
 
-std::string row_of(const char* fmt, auto... args) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    return buf;
-}
-
 std::string id_or_dash(const std::optional<std::uint32_t>& id) {
     return id.has_value() ? std::to_string(*id) : "-";
 }
@@ -204,24 +201,6 @@ std::vector<std::string> replay_ops(Cache& cache, bool score_updates) {
                                     cache.homophily_size()));
     }
     return rows;
-}
-
-/// Fails with the first divergent row unless the row lists are equal.
-void expect_same_rows(const std::vector<std::string>& expected,
-                      const std::vector<std::string>& actual,
-                      const std::string& what) {
-    std::size_t row = 0;
-    while (row < expected.size() && row < actual.size() &&
-           expected[row] == actual[row]) {
-        ++row;
-    }
-    if (row == expected.size() && row == actual.size()) return;
-    const auto at = [row](const std::vector<std::string>& rows) {
-        return row < rows.size() ? rows[row] : std::string{"<end>"};
-    };
-    ADD_FAILURE() << what << ": first difference at row " << row
-                  << "\n  expected: " << at(expected)
-                  << "\n  actual:   " << at(actual);
 }
 
 // ------------------------------------------------------------------------
@@ -316,24 +295,6 @@ std::vector<std::string> golden_trace(std::size_t shards, bool lockfree_reads,
     auto rows = replay_ops(cache, /*score_updates=*/true);
     append_freeze(cache, rows);
     return rows;
-}
-
-/// Compares `actual` with tests/golden/`name`; on a mismatch also writes
-/// `actual` to `<stem of name>.actual.txt` in the test binary's directory.
-void expect_golden(const std::string& name,
-                   const std::vector<std::string>& actual,
-                   const std::string& what) {
-    std::ifstream in{std::string{SPIDER_SOURCE_DIR} + "/tests/golden/" + name};
-    std::vector<std::string> expected;
-    for (std::string line; std::getline(in, line);) expected.push_back(line);
-    if (actual == expected) return;
-    const std::string out_path = std::string{SPIDER_BINARY_DIR} + "/" +
-                                 name.substr(0, name.rfind('.')) +
-                                 ".actual.txt";
-    std::ofstream out{out_path};
-    for (const auto& line : actual) out << line << '\n';
-    expect_same_rows(expected, actual, what + ", " + name + " (written to " +
-                                           out_path + ")");
 }
 
 TEST(CacheGolden, TracesAtOneFourAndEightShards) {
