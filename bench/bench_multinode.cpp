@@ -33,6 +33,7 @@
 #include "cluster/cooperative_cache.hpp"
 #include "data/presets.hpp"
 #include "storage/remote_store.hpp"
+#include "storage/resilient_store.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -61,7 +62,8 @@ CellResult run_workload(const spider::data::SyntheticDataset& dataset,
                                     .bytes_per_ms = 1.25e6,
                                     .parallelism = 2,
                                 }};
-    CooperativeCache coop{dataset, remote, cc};
+    spider::storage::ResilientStore client{remote, {}, {}};
+    CooperativeCache coop{dataset, client, cc};
     const std::vector<std::uint32_t> nodes = coop.active_nodes();
 
     std::mt19937_64 rng{99};

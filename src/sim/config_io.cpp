@@ -278,11 +278,6 @@ SimConfig sim_config_from(const util::Config& config) {
     sim.wal_dir = config.get_string("wal.dir", "");
     sim.wal_compact_every_epochs = static_cast<std::size_t>(
         config.get_int("wal.compact_every_epochs", 1));
-    if (sim.wal_compact_every_epochs == 0) {
-        throw std::invalid_argument{
-            "wal.compact_every_epochs: must be >= 1 (epochs between "
-            "snapshot compactions)"};
-    }
     sim.wal_sync_every_append =
         config.get_bool("wal.sync_every_append", false);
 
@@ -352,8 +347,6 @@ SimConfig sim_config_from(const util::Config& config) {
     sim.tuner.max_neighbors = static_cast<std::size_t>(config.get_int(
         "tuner.max_neighbors",
         static_cast<std::int64_t>(sim.tuner.max_neighbors)));
-    // Reject malformed tuner settings at parse time (like faults above).
-    if (sim.tuner.enabled) cache::validate(sim.tuner);
 
     sim.cluster.nodes = static_cast<std::size_t>(
         config.get_int("cluster.nodes",
@@ -405,6 +398,9 @@ SimConfig sim_config_from(const util::Config& config) {
     sim.sgd.weight_decay =
         static_cast<float>(config.get_double("optimizer.weight_decay", 5e-4));
 
+    // Mode pairs that do not compose, and the WAL/tuner ranges, fail here
+    // rather than when the run starts.
+    validate(sim);
     return sim;
 }
 

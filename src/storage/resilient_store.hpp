@@ -122,6 +122,8 @@ public:
     }
 
     [[nodiscard]] Counters counters() const;
+    /// Cost of one fault-free fetch (the backend's nominal fetch cost).
+    [[nodiscard]] SimDuration nominal_cost() const { return base_cost_; }
     [[nodiscard]] const FaultModel& fault_model() const { return faults_; }
     [[nodiscard]] const ResiliencePolicy& policy() const { return policy_; }
 

@@ -240,6 +240,26 @@ TEST(ConfigIo, ClusterDefaultsKeepSingleNodePath) {
     EXPECT_EQ(config.cluster_join_epoch, 0U);
 }
 
+TEST(ConfigIo, ExcludedModePairsRejectedAtParseTime) {
+    EXPECT_THROW(sim_config_from(util::Config::parse_string(
+                     "cluster.nodes = 2\nprefetch.enabled = true\n")),
+                 std::invalid_argument);
+    EXPECT_THROW(sim_config_from(util::Config::parse_string(
+                     "restart.epoch = 2\ncluster.nodes = 2\n")),
+                 std::invalid_argument);
+    EXPECT_THROW(sim_config_from(util::Config::parse_string(
+                     "wal.compact_every_epochs = 0\n")),
+                 std::invalid_argument);
+    EXPECT_THROW(sim_config_from(util::Config::parse_string(
+                     "run.strategy = shade\ntuner.enabled = true\n")),
+                 std::invalid_argument);
+    // The pairs that compose parse.
+    EXPECT_NO_THROW(sim_config_from(util::Config::parse_string(
+        "cluster.nodes = 2\nfaults.enabled = true\n")));
+    EXPECT_NO_THROW(sim_config_from(util::Config::parse_string(
+        "restart.epoch = 2\nprefetch.enabled = true\n")));
+}
+
 TEST(ConfigIo, ClusterBoundsRejected) {
     EXPECT_THROW(
         sim_config_from(util::Config::parse_string("cluster.nodes = 65\n")),

@@ -536,23 +536,28 @@ void expect_identical_runs(const metrics::RunResult& a,
 
 // Zero-cost-off: a fault layer that is enabled but injects nothing must
 // reproduce the fault-free run bit for bit — the resilient client adds no
-// cost, no counter drift, and no RNG perturbation.
+// cost, no counter drift, and no RNG perturbation. Single-node and through
+// the cluster's remote legs.
 TEST(FaultSimulator, BenignFaultLayerReproducesFaultFreeRunBitForBit) {
-    const sim::SimConfig clean = small_sim(sim::StrategyKind::kSpider);
-    sim::SimConfig benign = clean;
-    benign.faults.enabled = true;  // every probability stays zero
+    sim::SimConfig clustered = small_sim(sim::StrategyKind::kSpider);
+    clustered.cluster.nodes = 4;
+    for (const sim::SimConfig& clean :
+         {small_sim(sim::StrategyKind::kSpider), clustered}) {
+        sim::SimConfig benign = clean;
+        benign.faults.enabled = true;  // every probability stays zero
 
-    const metrics::RunResult a = sim::TrainingSimulator{clean}.run();
-    const metrics::RunResult b = sim::TrainingSimulator{benign}.run();
-    expect_identical_runs(a, b);
-    for (const metrics::EpochMetrics& e : b.epochs) {
-        EXPECT_EQ(e.fetch_retries, 0U);
-        EXPECT_EQ(e.fetch_hedges, 0U);
-        EXPECT_EQ(e.fetch_timeouts, 0U);
-        EXPECT_EQ(e.breaker_trips, 0U);
-        EXPECT_EQ(e.fault_substitutions, 0U);
-        EXPECT_EQ(e.fault_skips, 0U);
-        EXPECT_EQ(e.fault_time.count(), 0);
+        const metrics::RunResult a = sim::TrainingSimulator{clean}.run();
+        const metrics::RunResult b = sim::TrainingSimulator{benign}.run();
+        expect_identical_runs(a, b);
+        for (const metrics::EpochMetrics& e : b.epochs) {
+            EXPECT_EQ(e.fetch_retries, 0U);
+            EXPECT_EQ(e.fetch_hedges, 0U);
+            EXPECT_EQ(e.fetch_timeouts, 0U);
+            EXPECT_EQ(e.breaker_trips, 0U);
+            EXPECT_EQ(e.fault_substitutions, 0U);
+            EXPECT_EQ(e.fault_skips, 0U);
+            EXPECT_EQ(e.fault_time.count(), 0);
+        }
     }
 }
 

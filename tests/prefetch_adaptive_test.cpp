@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <vector>
 
@@ -244,6 +245,54 @@ TEST(PrefetchAdaptive, PureLatencyHidingNeverChangesCacheOutcomes) {
     EXPECT_DOUBLE_EQ(base.final_accuracy, adaptive.final_accuracy);
     EXPECT_GT(hidden_total, 0U);
     EXPECT_LE(adaptive.total_time, base.total_time);
+}
+
+TEST(PrefetchAdaptive, ComposesWithWarmRestart) {
+    // The simulated kill -9 takes the lookahead with the process: the
+    // restart drains the prefetcher and starts a fresh depth controller.
+    // Prefetch still changes no cache outcome — the restarted run matches
+    // the same restart without prefetch — and lookahead resumes after it.
+    const auto wal_dir = std::filesystem::temp_directory_path() /
+                         "spider_prefetch_restart_test";
+    sim::SimConfig off = prefetch_config(sim::StrategyKind::kSpider);
+    off.prefetch_enabled = false;
+    off.prefetch_adaptive = false;
+    off.restart_epoch = 2;
+    off.wal_dir = wal_dir.string();
+    off.ssd.enabled = true;
+    off.ssd.capacity_items = 150;
+    sim::SimConfig on = off;
+    on.prefetch_enabled = true;
+    on.prefetch_adaptive = true;
+    sim::SimConfig threaded = on;
+    threaded.worker_threads = 4;
+
+    const auto base = sim::TrainingSimulator{off}.run();
+    const auto adaptive = sim::TrainingSimulator{on}.run();
+    const auto concurrent = sim::TrainingSimulator{threaded}.run();
+    std::filesystem::remove_all(wal_dir);
+
+    ASSERT_EQ(base.epochs.size(), adaptive.epochs.size());
+    for (std::size_t i = 0; i < base.epochs.size(); ++i) {
+        EXPECT_EQ(base.epochs[i].accesses, adaptive.epochs[i].accesses) << i;
+        EXPECT_EQ(base.epochs[i].hits, adaptive.epochs[i].hits) << i;
+        EXPECT_EQ(base.epochs[i].misses, adaptive.epochs[i].misses) << i;
+        EXPECT_EQ(base.epochs[i].restored_items,
+                  adaptive.epochs[i].restored_items)
+            << i;
+    }
+    EXPECT_GT(adaptive.epochs[2].restored_items, 0U);
+    EXPECT_GT(adaptive.epochs[2].prefetch_hidden, 0U);
+    EXPECT_DOUBLE_EQ(base.final_accuracy, adaptive.final_accuracy);
+    EXPECT_LE(adaptive.total_time, base.total_time);
+
+    // Real background fetches across the kill: the run completes and the
+    // restart restores residency.
+    ASSERT_EQ(concurrent.epochs.size(), on.epochs);
+    EXPECT_GT(concurrent.epochs[2].restored_items, 0U);
+    for (const metrics::EpochMetrics& e : concurrent.epochs) {
+        EXPECT_EQ(e.hits + e.misses, e.accesses);
+    }
 }
 
 TEST(PrefetchAdaptive, DeterministicAcrossWorkerCounts) {

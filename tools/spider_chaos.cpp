@@ -41,6 +41,7 @@
 #include "data/presets.hpp"
 #include "storage/fault_model.hpp"
 #include "storage/remote_store.hpp"
+#include "storage/resilient_store.hpp"
 #include "storage/ssd_tier.hpp"
 #include "storage/wal.hpp"
 #include "util/rng.hpp"
@@ -249,7 +250,8 @@ int main(int argc, char** argv) {
     ccfg.nodes = 3;
     ccfg.node_cache_items = 128;
     ccfg.seed = opt.seed;
-    cluster::CooperativeCache cluster{dataset, remote, ccfg};
+    storage::ResilientStore client{remote, {}, {}};
+    cluster::CooperativeCache cluster{dataset, client, ccfg};
 
     std::uint64_t total_ops = 0;
     std::uint64_t kills = 0;
