@@ -14,13 +14,14 @@
 #   tools/run_tier1.sh --faults   # additionally: ThreadSanitizer pass over
 #                                 # the fault-injection / degraded-mode
 #                                 # suite (resilient store, breaker, fault
-#                                 # simulator — DESIGN.md §9) in build-tsan/
+#                                 # simulator — DESIGN.md §9) and the
+#                                 # golden run() files in build-tsan/
 #   tools/run_tier1.sh --prefetch # additionally: ThreadSanitizer pass over
 #                                 # the adaptive / epoch-crossing prefetch
 #                                 # suite (budget arithmetic, depth
 #                                 # controller, sampler peek, simulator
-#                                 # determinism — DESIGN.md §8.3) in
-#                                 # build-tsan/
+#                                 # determinism — DESIGN.md §8.3) and the
+#                                 # golden run() files in build-tsan/
 #   tools/run_tier1.sh --lockfree # additionally: ThreadSanitizer pass over
 #                                 # the seqlock read path (DESIGN.md §8.4):
 #                                 # concurrency + cross-shard-invariant
@@ -129,9 +130,9 @@ if [[ "$run_faults" == 1 ]]; then
     -DSPIDER_BUILD_BENCH=OFF \
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" \
-    --target fault_tolerance_test cache_concurrency_test
+    --target fault_tolerance_test cache_concurrency_test sim_golden_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'FaultModel|ResilientStore|FaultSimulator|RemoteStoreConcurrency|PrefetchConcurrency'
+    -R 'FaultModel|ResilientStore|FaultSimulator|RemoteStoreConcurrency|PrefetchConcurrency|SimGolden'
 fi
 
 if [[ "$run_prefetch" == 1 ]]; then
@@ -143,9 +144,9 @@ if [[ "$run_prefetch" == 1 ]]; then
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" \
     --target prefetch_adaptive_test cache_concurrency_test \
-             fault_tolerance_test
+             fault_tolerance_test sim_golden_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'PrefetchBudget|AdaptiveWindow|SamplerPeek|PrefetchAdaptive|PrefetchConcurrency|FailedSpeculative'
+    -R 'PrefetchBudget|AdaptiveWindow|SamplerPeek|PrefetchAdaptive|PrefetchConcurrency|FailedSpeculative|SimGolden'
 fi
 
 if [[ "$run_lockfree" == 1 ]]; then
