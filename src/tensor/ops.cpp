@@ -37,13 +37,11 @@ void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
     const std::size_t k = a.cols();
     const std::size_t n = b.rows();
     if (out.rows() != m || out.cols() != n) out = Matrix{m, n};
-    const auto dot = simd::active_kernels().dot;
+    // One kernel call per output row; each element is bit-equal to the
+    // table's dot(a_row, b_row, k).
+    const auto dot_rows = simd::active_kernels().dot_rows;
     for (std::size_t i = 0; i < m; ++i) {
-        const float* a_row = a.row(i).data();
-        float* out_row = out.row(i).data();
-        for (std::size_t j = 0; j < n; ++j) {
-            out_row[j] = dot(a_row, b.row(j).data(), k);
-        }
+        dot_rows(a.row(i).data(), b.data(), k, n, k, out.row(i).data());
     }
 }
 
@@ -140,7 +138,10 @@ void relu_backward(const Matrix& x, const Matrix& dy, Matrix& dx) {
     const std::span<const float> grad = dy.flat();
     const std::span<float> out = dx.flat();
     for (std::size_t i = 0; i < xin.size(); ++i) {
-        out[i] = xin[i] > 0.0F ? grad[i] : 0.0F;
+        // Load grad[i] unconditionally: the select then compiles to a
+        // blend, not a branch that mispredicts on mixed-sign activations.
+        const float g = grad[i];
+        out[i] = xin[i] > 0.0F ? g : 0.0F;
     }
 }
 

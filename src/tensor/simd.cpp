@@ -35,7 +35,7 @@ float squared_l2_portable(const float* a, const float* b, std::size_t n) {
     return (acc0 + acc1) + (acc2 + acc3);
 }
 
-float dot_portable(const float* a, const float* b, std::size_t n) {
+inline float dot_portable(const float* a, const float* b, std::size_t n) {
     float acc0 = 0.0F;
     float acc1 = 0.0F;
     float acc2 = 0.0F;
@@ -51,6 +51,14 @@ float dot_portable(const float* a, const float* b, std::size_t n) {
         acc0 += a[i] * b[i];
     }
     return (acc0 + acc1) + (acc2 + acc3);
+}
+
+void dot_rows_portable(const float* a, const float* b, std::size_t ldb,
+                       std::size_t rows, std::size_t k, float* out) {
+    // dot_portable inlined per row: same arithmetic, no indirect call.
+    for (std::size_t j = 0; j < rows; ++j) {
+        out[j] = dot_portable(a, b + j * ldb, k);
+    }
 }
 
 void axpy_portable(float alpha, const float* x, float* y, std::size_t n) {
@@ -101,8 +109,8 @@ void gemm_acc_portable(std::size_t m, std::size_t n, std::size_t k,
 }
 
 constexpr Kernels kPortable{
-    "portable",         squared_l2_portable, dot_portable,
-    axpy_portable,      gemm_acc_portable,
+    "portable",    squared_l2_portable, dot_portable, dot_rows_portable,
+    axpy_portable, gemm_acc_portable,
 };
 
 bool cpu_has_avx2_fma() {

@@ -14,7 +14,9 @@
 // `SPIDER_SIMD=scalar` in the environment pins the portable table — the
 // before/after axis of bench_micro_kernels. The plain-loop *_scalar
 // reference implementations live in ops.hpp; parity tests compare the
-// dispatched kernels against them to 1e-5.
+// dispatched kernels against them to 1e-5. `dot_rows` has a stricter
+// contract, checked bit for bit: within one table it returns exactly what
+// that table's `dot` returns for each row.
 
 #include <cstddef>
 
@@ -30,6 +32,14 @@ struct Kernels {
 
     /// sum_i a[i] * b[i]
     float (*dot)(const float* a, const float* b, std::size_t n);
+
+    /// out[j] = dot(a, b + j*ldb, k) for j < rows, bit-equal to this table's
+    /// `dot`: every row keeps dot's accumulators, reduction order and
+    /// scalar tail (rows may share the loads of `a`). This is `a @ B^T` for
+    /// one row of a; it does not go through gemm_acc, whose accumulation
+    /// order differs.
+    void (*dot_rows)(const float* a, const float* b, std::size_t ldb,
+                     std::size_t rows, std::size_t k, float* out);
 
     /// y[i] += alpha * x[i]
     void (*axpy)(float alpha, const float* x, float* y, std::size_t n);
