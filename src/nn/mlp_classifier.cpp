@@ -71,24 +71,22 @@ void MlpClassifier::backward_and_step(
         throw std::logic_error{
             "MlpClassifier::backward_and_step without matching forward"};
     }
-    tensor::Matrix dlogits;
-    tensor::softmax_cross_entropy_backward(probs_, labels, dlogits);
+    tensor::softmax_cross_entropy_backward(probs_, labels, dlogits_);
 
     if (!train_mask.empty()) {
-        if (train_mask.size() != dlogits.rows()) {
+        if (train_mask.size() != dlogits_.rows()) {
             throw std::invalid_argument{"train_mask size mismatch"};
         }
-        for (std::size_t i = 0; i < dlogits.rows(); ++i) {
+        for (std::size_t i = 0; i < dlogits_.rows(); ++i) {
             if (train_mask[i] == 0) {
-                for (float& g : dlogits.row(i)) g = 0.0F;
+                for (float& g : dlogits_.row(i)) g = 0.0F;
             }
         }
     }
 
-    tensor::Matrix dembed;
-    head_.backward(dlogits, dembed);
-    tensor::Matrix dinput;
-    trunk_.backward(dembed, dinput);
+    head_.backward(dlogits_, &dembed_);
+    // Nothing reads the gradient of the inputs, so it is not computed.
+    trunk_.backward(dembed_, nullptr);
     optimizer_.step();
 }
 

@@ -71,6 +71,9 @@ private:
     tensor::Matrix embeddings_;
     tensor::Matrix logits_;
     tensor::Matrix probs_;
+    // Backward scratch, kept so a step allocates nothing once warm.
+    tensor::Matrix dlogits_;
+    tensor::Matrix dembed_;
 };
 
 }  // namespace spider::nn
