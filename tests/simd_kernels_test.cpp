@@ -2,10 +2,14 @@
 // dispatched squared_l2 / GEMM / axpy paths must agree with the plain-loop
 // *_scalar references to 1e-5 over random shapes, with special attention to
 // ragged tails that are not multiples of the SIMD width (8/16 floats).
+// dot_rows is held to its table's own dot bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -52,6 +56,7 @@ TEST(SimdDispatch, TablesAreWellFormed) {
     EXPECT_NE(portable.name, nullptr);
     EXPECT_NE(active.squared_l2, nullptr);
     EXPECT_NE(active.dot, nullptr);
+    EXPECT_NE(active.dot_rows, nullptr);
     EXPECT_NE(active.axpy, nullptr);
     EXPECT_NE(active.gemm_acc, nullptr);
     // avx2_active() must agree with which table got picked.
@@ -90,6 +95,45 @@ TEST(SimdParity, DotAgainstScalarReduction) {
         const float got = dot(a.data(), b.data(), dim);
         EXPECT_NEAR(got, ref, 1e-5F * std::max(1.0F, std::fabs(ref)))
             << "dim=" << dim;
+    }
+}
+
+// Every table's dot_rows must return exactly what the same table's dot
+// returns for each row (same accumulators, reduction order and tail), at
+// every k across the 8/16-wide steps and every count of rows around the
+// four-row block. ldb > k with NaN padding catches reads past a row's k
+// floats; the sentinel after out catches writes past `rows`.
+TEST(SimdParity, DotRowsBitEqualToDot) {
+    std::vector<const simd::Kernels*> tables = {&simd::portable_kernels()};
+    if (&simd::active_kernels() != tables.front()) {
+        tables.push_back(&simd::active_kernels());
+    }
+    util::Rng rng{37};
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const simd::Kernels* table : tables) {
+        for (std::size_t k = 0; k <= 70; ++k) {
+            for (std::size_t rows = 1; rows <= 9; ++rows) {
+                const std::size_t ldb = k + 3;
+                const std::vector<float> a = random_vec(rng, k);
+                std::vector<float> b(rows * ldb, nan);
+                for (std::size_t j = 0; j < rows; ++j) {
+                    for (std::size_t p = 0; p < k; ++p) {
+                        b[j * ldb + p] = static_cast<float>(rng.normal());
+                    }
+                }
+                std::vector<float> out(rows + 1, -1.0F);
+                table->dot_rows(a.data(), b.data(), ldb, rows, k, out.data());
+                for (std::size_t j = 0; j < rows; ++j) {
+                    const float want = table->dot(a.data(), b.data() + j * ldb, k);
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[j]),
+                              std::bit_cast<std::uint32_t>(want))
+                        << table->name << " k=" << k << " rows=" << rows
+                        << " row " << j << ": " << out[j] << " vs " << want;
+                }
+                EXPECT_EQ(out[rows], -1.0F) << table->name << " k=" << k
+                                            << " rows=" << rows;
+            }
+        }
     }
 }
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -130,6 +134,39 @@ TEST(Ops, ReluForwardBackward) {
     EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0F);  // x <= 0: gradient blocked
     EXPECT_FLOAT_EQ(dx.at(0, 1), 0.0F);
     EXPECT_FLOAT_EQ(dx.at(0, 2), 5.0F);
+}
+
+// relu_backward selects without a branch; it must pick exactly what the
+// branchy formula picks, bit for bit, over signed zeros, NaNs, infinities
+// and subnormals on either side.
+TEST(Ops, ReluBackwardBitExact) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> values = {0.0F, -0.0F, 1.5F,  -2.0F, nan, -nan,
+                                       inf,  -inf,  tiny,  -tiny, 1e-30F};
+    const std::size_t n = values.size();
+    Matrix x{n, n};
+    Matrix dy{n, n};
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            x.at(i, j) = values[i];
+            dy.at(i, j) = values[j];
+        }
+    }
+    Matrix dx;
+    relu_backward(x, dy, dx);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        float want;
+        if (x.flat()[i] > 0.0F) {
+            want = dy.flat()[i];
+        } else {
+            want = 0.0F;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(dx.flat()[i]),
+                  std::bit_cast<std::uint32_t>(want))
+            << "x=" << x.flat()[i] << " dy=" << dy.flat()[i];
+    }
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
