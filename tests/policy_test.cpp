@@ -673,15 +673,21 @@ private:
 // 20k deterministic operations — touches (including admit-after-touch
 // sequences), admissions, score notes, erases, and interleaved
 // set_capacity grow/shrink — applied identically to the production cache
-// and its oracle, with full-state agreement checked throughout.
+// and its oracle, with full-state agreement checked throughout. By default
+// ids come from a space of 160 and capacity moves between 4 and 48 items.
+struct TraceShape {
+    std::uint32_t id_space = 160;
+    std::size_t min_capacity = 4;
+    std::size_t max_capacity = 48;
+};
+
 void run_parity_trace(EvictionCache& cache, Oracle& oracle,
-                      std::uint64_t seed) {
-    constexpr std::uint32_t kIdSpace = 160;
+                      std::uint64_t seed, TraceShape shape = {}) {
     constexpr std::size_t kOps = 20'000;
     util::Rng rng{seed};
     for (std::size_t op = 0; op < kOps; ++op) {
         const auto id =
-            static_cast<std::uint32_t>(rng.uniform_index(kIdSpace));
+            static_cast<std::uint32_t>(rng.uniform_index(shape.id_space));
         const std::uint64_t roll = rng.uniform_index(100);
         if (roll < 40) {
             EXPECT_EQ(cache.touch(id), oracle.touch(id)) << "op " << op;
@@ -694,9 +700,9 @@ void run_parity_trace(EvictionCache& cache, Oracle& oracle,
         } else if (roll < 94) {
             EXPECT_EQ(cache.erase(id), oracle.erase(id)) << "op " << op;
         } else {
-            // Grow/shrink between 4 and 48 items.
-            const auto capacity =
-                static_cast<std::size_t>(4 + rng.uniform_index(45));
+            const auto capacity = static_cast<std::size_t>(
+                shape.min_capacity +
+                rng.uniform_index(shape.max_capacity - shape.min_capacity + 1));
             cache.set_capacity(capacity);
             oracle.set_capacity(capacity);
             EXPECT_EQ(cache.capacity(), capacity);
@@ -704,16 +710,25 @@ void run_parity_trace(EvictionCache& cache, Oracle& oracle,
         ASSERT_EQ(cache.size(), oracle.size()) << "op " << op;
         EXPECT_EQ(cache.peek_victim(), oracle.peek_victim()) << "op " << op;
         const auto probe =
-            static_cast<std::uint32_t>(rng.uniform_index(kIdSpace));
+            static_cast<std::uint32_t>(rng.uniform_index(shape.id_space));
         EXPECT_EQ(cache.contains(probe), oracle.contains(probe))
             << "op " << op;
     }
 }
 
 TEST(PolicyParity, LruMatchesOracleOver20kOps) {
-    LruCache cache{24};
-    OracleLru oracle{24};
-    run_parity_trace(cache, oracle, 101);
+    {
+        LruCache cache{24};
+        OracleLru oracle{24};
+        run_parity_trace(cache, oracle, 101);
+    }
+    // Thousands of residents over 20k ids: the table grows and rehashes,
+    // and erases and shrinks delete from a crowded one.
+    LruCache cache{4096};
+    OracleLru oracle{4096};
+    run_parity_trace(cache, oracle, 102,
+                     {.id_space = 20'000, .min_capacity = 1024,
+                      .max_capacity = 8192});
 }
 
 TEST(PolicyParity, LfuMatchesOracleOver20kOps) {

@@ -3,7 +3,8 @@
 // recovery, bloom FPR against the theoretical bound, whole-segment GC,
 // kill -9 payload durability (flushed bytes come back identical), fence
 // slices at every stride boundary with their per-hit read cost, and
-// flush/seal under injected write faults (short write, ENOSPC, EIO).
+// flush/seal under injected write faults (short write, ENOSPC, EIO), and
+// the segment bytes of a seeded 20k-op run pinned in a golden file.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +12,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "golden_rows.hpp"
 #include "storage/ssd_block_store.hpp"
+#include "util/rng.hpp"
 
 namespace spider::storage {
 namespace {
@@ -418,6 +422,124 @@ TEST_F(SsdBlockStoreTest, UnsealedDiskHitReadsOnlyItsFrame) {
     EXPECT_EQ(got.value(), payload_for(7));
     EXPECT_EQ(cost.disk_reads, 1U);
     EXPECT_EQ(cost.bytes_read, kFrameBytes);
+}
+
+// ------------------------------------------------------ golden on-disk bytes
+
+// The segment format, pinned in data: a seeded mix of writes (payloads of
+// 0..299 bytes), erases, reads, seals and flushes over small segments, so
+// rotation and whole-segment GC run many times; then an unflushed tail is
+// dropped by a simulated kill -9 and the directory is reopened. Every
+// segment file's bytes are hashed, and the reopened store's live ids,
+// stats and payloads are compared with tests/golden/storage_bytes.txt.
+class SsdBlockStoreGolden : public SsdBlockStoreTest {
+protected:
+    /// One row per segment file, in name order: size and FNV-1a of bytes.
+    void add_file_rows(std::vector<std::string>& rows,
+                       const char* when) const {
+        std::vector<fs::path> files;
+        for (const auto& entry : fs::directory_iterator(dir_)) {
+            files.push_back(entry.path());
+        }
+        std::sort(files.begin(), files.end());
+        for (const auto& path : files) {
+            std::ifstream in{path, std::ios::binary};
+            const std::string bytes{std::istreambuf_iterator<char>{in}, {}};
+            rows.push_back(golden::row_of(
+                "ssd %s %s bytes=%zu fnv=%016llx", when,
+                path.filename().string().c_str(), bytes.size(),
+                static_cast<unsigned long long>(golden::fnv1a(
+                    golden::kFnvBasis, bytes.data(), bytes.size()))));
+        }
+    }
+
+    static std::string stats_row(const char* when,
+                                 const SsdBlockStore& store) {
+        const SsdBlockStoreStats& s = store.stats();
+        return golden::row_of(
+                   "ssd %s writes=%llu reads=%llu hits=%llu skips=%llu "
+                   "fp=%llu disk_reads=%llu",
+                   when, static_cast<unsigned long long>(s.writes),
+                   static_cast<unsigned long long>(s.reads),
+                   static_cast<unsigned long long>(s.read_hits),
+                   static_cast<unsigned long long>(s.bloom_skips),
+                   static_cast<unsigned long long>(s.bloom_false_positives),
+                   static_cast<unsigned long long>(s.disk_reads)) +
+               golden::row_of(
+                   " bytes_read=%llu sealed=%llu collected=%llu "
+                   "recovered=%llu dropped=%llu",
+                   static_cast<unsigned long long>(s.bytes_read),
+                   static_cast<unsigned long long>(s.segments_sealed),
+                   static_cast<unsigned long long>(s.segments_collected),
+                   static_cast<unsigned long long>(s.recovered_records),
+                   static_cast<unsigned long long>(s.dropped_tail_records)) +
+               golden::row_of(" live=%zu used=%zu sealed_bytes=%zu "
+                              "segments=%zu",
+                              store.live_items(), store.bytes_used(),
+                              store.sealed_bytes(), store.segment_count());
+    }
+};
+
+TEST_F(SsdBlockStoreGolden, SeededOpsThenKillAndReopen) {
+    constexpr std::size_t kSegmentBytes = 16U << 10;
+    constexpr std::uint32_t kIdSpace = 700;
+    std::vector<std::string> rows;
+    std::uint64_t read_hash = golden::kFnvBasis;
+    const auto hash_read = [&read_hash](std::uint32_t id,
+                                        const auto& bytes) {
+        read_hash = golden::fnv1a(read_hash, &id, sizeof id);
+        if (!bytes) return;
+        read_hash = golden::fnv1a(read_hash, bytes->data(), bytes->size());
+    };
+    {
+        SsdBlockStore store{config(kSegmentBytes)};
+        util::Rng rng{2026};
+        for (std::uint32_t op = 0; op < 20'000; ++op) {
+            const auto id =
+                static_cast<std::uint32_t>(rng.uniform_index(kIdSpace));
+            const std::uint64_t roll = rng.uniform_index(100);
+            if (roll < 55) {
+                store.write(id, payload_for(id ^ (op << 10),
+                                            rng.uniform_index(300)));
+            } else if (roll < 75) {
+                store.erase(id);
+            } else if (roll < 98) {
+                hash_read(id, store.read(id));
+            } else if (roll < 99) {
+                store.seal_active();
+            } else {
+                store.flush();
+            }
+        }
+        rows.push_back(stats_row("ops", store));
+        rows.push_back(golden::row_of(
+            "ssd ops read_hash=%016llx",
+            static_cast<unsigned long long>(read_hash)));
+        store.flush();
+        add_file_rows(rows, "flushed");
+        // An unflushed tail that the simulated kill -9 discards.
+        for (std::uint32_t id = 0; id < 40; ++id) {
+            store.write(id, payload_for(id + 100'000, 50));
+        }
+        store.drop_unflushed();
+        rows.push_back(stats_row("dropped", store));
+    }
+    SsdBlockStore reopened{config(kSegmentBytes)};
+    add_file_rows(rows, "reopened");
+    const std::vector<std::uint32_t> ids = reopened.live_ids();
+    rows.push_back(golden::row_of(
+        "ssd reopened live_ids=%zu fnv=%016llx", ids.size(),
+        static_cast<unsigned long long>(golden::fnv1a(
+            golden::kFnvBasis, ids.data(), ids.size() * sizeof ids[0]))));
+    read_hash = golden::kFnvBasis;
+    for (std::uint32_t id = 0; id < kIdSpace; ++id) {
+        hash_read(id, reopened.read(id));
+    }
+    rows.push_back(golden::row_of(
+        "ssd reopened read_hash=%016llx",
+        static_cast<unsigned long long>(read_hash)));
+    rows.push_back(stats_row("reopened", reopened));
+    golden::expect_golden("storage_bytes.txt", rows, "SsdBlockStore", "ssd");
 }
 
 // ----------------------------------------------------- injected write faults

@@ -4,20 +4,24 @@
 // importance, FIFO homophily, LRU ssd), and a listener-streamed cache can
 // be rebuilt warm — including across a shard-count change. Under injected
 // write faults (short write, ENOSPC, EIO) a failed flush or synced append
-// leaves the log at its last good length, and a retry loses nothing.
+// leaves the log at its last good length, and a retry loses nothing. The
+// log and snapshot bytes of a seeded run are pinned in a golden file.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/semantic_cache.hpp"
+#include "golden_rows.hpp"
 #include "storage/ssd_tier.hpp"
 #include "storage/wal.hpp"
+#include "util/rng.hpp"
 
 namespace spider {
 namespace {
@@ -280,6 +284,95 @@ TEST_F(WalTest, SsdTierRoundTripsThroughListenerAndRestore) {
     before.insert(100);
     after.insert(100);
     EXPECT_EQ(after.dump_residency(), before.dump_residency());
+}
+
+// ------------------------------------------------------ golden on-disk bytes
+
+// The log and snapshot formats, pinned in data: a seeded stream of every
+// ResidencyOp (homophily admits carry 0..8 neighbours, and some other ops
+// carry a list too, which the format encodes for any op) is appended,
+// flushed at intervals and folded by compact(); a reopened WAL must load
+// the same image. Each file's bytes are hashed and compared with
+// tests/golden/storage_bytes.txt.
+class WalGolden : public WalTest {
+protected:
+    [[nodiscard]] std::string file_row(const char* when,
+                                       const std::string& name) const {
+        std::ifstream in{dir_ / name, std::ios::binary};
+        const std::string bytes{std::istreambuf_iterator<char>{in}, {}};
+        return golden::row_of(
+            "wal %s %s bytes=%zu fnv=%016llx", when, name.c_str(),
+            bytes.size(),
+            static_cast<unsigned long long>(golden::fnv1a(
+                golden::kFnvBasis, bytes.data(), bytes.size())));
+    }
+
+    static std::string image_row(const char* when, const RestoreImage& image) {
+        std::uint64_t h = golden::kFnvBasis;
+        for (const auto& [id, score] : image.importance) {
+            h = golden::fnv1a(h, &id, sizeof id);
+            h = golden::fnv1a(h, &score, sizeof score);
+        }
+        for (const auto& [key, neighbors] : image.homophily) {
+            h = golden::fnv1a(h, &key, sizeof key);
+            h = golden::fnv1a(h, neighbors.data(),
+                              neighbors.size() * sizeof neighbors[0]);
+        }
+        h = golden::fnv1a(h, image.ssd.data(),
+                          image.ssd.size() * sizeof image.ssd[0]);
+        return golden::row_of(
+            "wal %s image importance=%zu homophily=%zu ssd=%zu fnv=%016llx",
+            when, image.importance.size(), image.homophily.size(),
+            image.ssd.size(), static_cast<unsigned long long>(h));
+    }
+};
+
+TEST_F(WalGolden, EveryOpThenCompactAndReload) {
+    util::Rng rng{2027};
+    const auto record = [&rng] {
+        ResidencyRecord r;
+        r.op = static_cast<ResidencyOp>(1 + rng.uniform_index(7));
+        r.id = static_cast<std::uint32_t>(rng.uniform_index(500));
+        r.score = rng.uniform(-1.0, 4.0);
+        r.generation = rng.next() >> 24;
+        const bool listed = r.op == ResidencyOp::kAdmitHomophily ||
+                            rng.uniform_index(10) == 0;
+        const std::uint64_t count = listed ? rng.uniform_index(9) : 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            r.neighbors.push_back(
+                static_cast<std::uint32_t>(rng.uniform_index(500)));
+        }
+        return r;
+    };
+    std::vector<std::string> rows;
+    {
+        storage::CacheWal wal{config()};
+        for (int i = 0; i < 3000; ++i) {
+            wal.append(record());
+            if (i % 700 == 699) wal.flush();
+        }
+        wal.flush();
+        rows.push_back(file_row("appended", "cache.wal"));
+        const RestoreImage image = wal.load();
+        rows.push_back(image_row("appended", image));
+        wal.compact(image);
+        rows.push_back(file_row("compacted", "cache.snapshot"));
+        rows.push_back(file_row("compacted", "cache.wal"));
+        for (int i = 0; i < 200; ++i) wal.append(record());
+    }  // clean close flushes the tail
+    rows.push_back(file_row("closed", "cache.wal"));
+    {
+        storage::CacheWal synced{config(true)};
+        for (int i = 0; i < 50; ++i) synced.append(record());
+        synced.drop_unflushed();  // nothing is buffered to lose
+        rows.push_back(file_row("synced", "cache.wal"));
+    }
+    storage::CacheWal reopened{config()};
+    rows.push_back(image_row("reopened", reopened.load()));
+    rows.push_back(golden::row_of(
+        "wal reopened dropped=%llu",
+        static_cast<unsigned long long>(reopened.dropped_records())));
+    golden::expect_golden("storage_bytes.txt", rows, "CacheWal", "wal");
 }
 
 // ------------------------------------------------- injected write faults
