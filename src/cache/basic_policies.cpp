@@ -1,6 +1,7 @@
 #include "cache/basic_policies.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace spider::cache {
 
@@ -8,49 +9,121 @@ namespace spider::cache {
 
 LruCache::LruCache(std::size_t capacity) : capacity_{capacity} {}
 
+std::size_t LruCache::home(std::uint32_t id) const {
+    return static_cast<std::size_t>(
+        (std::uint64_t{id} * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+std::size_t LruCache::find(std::uint32_t id) const {
+    if (buckets_.empty()) return kNoBucket;
+    const std::size_t mask = buckets_.size() - 1;
+    for (std::size_t b = home(id);; b = (b + 1) & mask) {
+        if (buckets_[b].node == kNone) return kNoBucket;
+        if (buckets_[b].id == id) return b;
+    }
+}
+
+void LruCache::unlink(std::uint32_t n) {
+    const Node& node = nodes_[n];
+    (node.prev == kNone ? head_ : nodes_[node.prev].next) = node.next;
+    (node.next == kNone ? tail_ : nodes_[node.next].prev) = node.prev;
+}
+
+void LruCache::push_front(std::uint32_t n) {
+    nodes_[n].prev = kNone;
+    nodes_[n].next = head_;
+    (head_ == kNone ? tail_ : nodes_[head_].prev) = n;
+    head_ = n;
+}
+
+void LruCache::remove(std::size_t bucket) {
+    const std::uint32_t n = buckets_[bucket].node;
+    unlink(n);
+    nodes_[n].next = free_;
+    free_ = n;
+    --size_;
+    // Backward shift: pull later entries of the probe run into the hole
+    // unless that would move one before its home bucket.
+    const std::size_t mask = buckets_.size() - 1;
+    std::size_t hole = bucket;
+    for (std::size_t b = (hole + 1) & mask; buckets_[b].node != kNone;
+         b = (b + 1) & mask) {
+        if (((b - home(buckets_[b].id)) & mask) >= ((b - hole) & mask)) {
+            buckets_[hole] = buckets_[b];
+            hole = b;
+        }
+    }
+    buckets_[hole].node = kNone;
+}
+
+void LruCache::grow_buckets() {
+    std::vector<Bucket> old = std::move(buckets_);
+    const std::size_t count = old.empty() ? 16 : old.size() * 2;
+    buckets_.assign(count, Bucket{0, kNone});
+    shift_ = 64 - std::countr_zero(count);
+    const std::size_t mask = count - 1;
+    for (const Bucket& entry : old) {
+        if (entry.node == kNone) continue;
+        std::size_t b = home(entry.id);
+        while (buckets_[b].node != kNone) b = (b + 1) & mask;
+        buckets_[b] = entry;
+    }
+}
+
 bool LruCache::contains(std::uint32_t id) const {
-    return index_.contains(id);
+    return find(id) != kNoBucket;
 }
 
 bool LruCache::touch(std::uint32_t id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    order_.splice(order_.begin(), order_, it->second);
+    const std::size_t b = find(id);
+    if (b == kNoBucket) return false;
+    const std::uint32_t n = buckets_[b].node;
+    if (n != head_) {
+        unlink(n);
+        push_front(n);
+    }
     return true;
 }
 
-std::optional<std::uint32_t> LruCache::evict_lru() {
-    if (order_.empty()) return std::nullopt;
-    const std::uint32_t victim = order_.back();
-    order_.pop_back();
-    index_.erase(victim);
-    return victim;
-}
-
 std::optional<std::uint32_t> LruCache::admit(std::uint32_t id) {
-    if (capacity_ == 0 || index_.contains(id)) return std::nullopt;
+    if (capacity_ == 0 || find(id) != kNoBucket) return std::nullopt;
     std::optional<std::uint32_t> evicted;
-    if (index_.size() >= capacity_) evicted = evict_lru();
-    order_.push_front(id);
-    index_.emplace(id, order_.begin());
+    if (size_ >= capacity_) {
+        evicted = nodes_[tail_].id;
+        remove(find(*evicted));
+    }
+    std::uint32_t n = free_;
+    if (n != kNone) {
+        free_ = nodes_[n].next;
+    } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({});
+    }
+    nodes_[n].id = id;
+    push_front(n);
+    if ((size_ + 1) * 2 > buckets_.size()) grow_buckets();
+    const std::size_t mask = buckets_.size() - 1;
+    std::size_t b = home(id);
+    while (buckets_[b].node != kNone) b = (b + 1) & mask;
+    buckets_[b] = Bucket{id, n};
+    ++size_;
     return evicted;
 }
 
 void LruCache::set_capacity(std::size_t capacity) {
     capacity_ = capacity;
-    while (index_.size() > capacity_) evict_lru();
+    while (size_ > capacity_) remove(find(nodes_[tail_].id));
 }
 
 std::optional<std::uint32_t> LruCache::peek_victim() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.back();
+    if (tail_ == kNone) return std::nullopt;
+    return nodes_[tail_].id;
 }
 
 bool LruCache::erase(std::uint32_t id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    order_.erase(it->second);
-    index_.erase(it);
+    const std::size_t b = find(id);
+    if (b == kNoBucket) return false;
+    remove(b);
     return true;
 }
 

@@ -17,13 +17,18 @@
 
 namespace spider::cache {
 
-/// Least-recently-used: doubly-linked recency list + index map.
+/// Least-recently-used over a flat table: a slab of nodes doubly linked
+/// by index (head = most recent), an open-addressing id -> node map
+/// (linear probing, backward-shift deletion) and a free list of node
+/// slots. Once the table has grown to its working size, no operation
+/// allocates. Both arrays grow with size(), never with capacity(): an
+/// unbounded SSD tier passes SIZE_MAX / 2.
 class LruCache final : public EvictionCache {
 public:
     explicit LruCache(std::size_t capacity);
 
     [[nodiscard]] std::string name() const override { return "LRU"; }
-    [[nodiscard]] std::size_t size() const override { return index_.size(); }
+    [[nodiscard]] std::size_t size() const override { return size_; }
     [[nodiscard]] std::size_t capacity() const override { return capacity_; }
     [[nodiscard]] bool contains(std::uint32_t id) const override;
     bool touch(std::uint32_t id) override;
@@ -37,15 +42,42 @@ public:
     /// tier's residency dump (warm-restart snapshots) relies on it.
     template <typename Fn>
     void for_each_lru_first(Fn fn) const {
-        for (auto it = order_.rbegin(); it != order_.rend(); ++it) fn(*it);
+        for (std::uint32_t n = tail_; n != kNone; n = nodes_[n].prev) {
+            fn(nodes_[n].id);
+        }
     }
 
 private:
-    std::optional<std::uint32_t> evict_lru();
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    static constexpr std::size_t kNoBucket = ~std::size_t{0};
+
+    struct Node {
+        std::uint32_t id;
+        std::uint32_t prev;  // towards the head (more recent)
+        std::uint32_t next;  // towards the tail; free-list link when free
+    };
+    struct Bucket {
+        std::uint32_t id;
+        std::uint32_t node;  // kNone = empty
+    };
+
+    [[nodiscard]] std::size_t home(std::uint32_t id) const;
+    /// Bucket holding `id`, or kNoBucket.
+    [[nodiscard]] std::size_t find(std::uint32_t id) const;
+    void unlink(std::uint32_t n);
+    void push_front(std::uint32_t n);
+    /// Unlinks, frees and unmaps the entry in `bucket`.
+    void remove(std::size_t bucket);
+    void grow_buckets();
 
     std::size_t capacity_;
-    std::list<std::uint32_t> order_;  // front = most recent
-    std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator> index_;
+    std::size_t size_ = 0;
+    std::uint32_t head_ = kNone;
+    std::uint32_t tail_ = kNone;
+    std::uint32_t free_ = kNone;
+    int shift_ = 64;  // home bucket = Fibonacci hash >> shift_
+    std::vector<Node> nodes_;
+    std::vector<Bucket> buckets_;  // power of two, at most half full
 };
 
 /// Least-frequently-used with LRU tie-break inside a frequency bucket.

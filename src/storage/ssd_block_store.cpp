@@ -16,7 +16,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using wire::begin_frame;
 using wire::checksum32;
+using wire::end_frame;
 using wire::get;
 using wire::mix64;
 using wire::put;
@@ -34,25 +36,10 @@ constexpr std::size_t kFenceStride = 32;
 /// a length prefix is a torn or corrupt frame, not a real record.
 constexpr std::uint32_t kMaxRecordPayload = 1U << 24;
 
-[[nodiscard]] std::string frame_record(std::uint32_t id,
-                                       std::span<const std::uint8_t> payload) {
-    std::string body;
-    body.reserve(4 + payload.size());
-    put<std::uint32_t>(body, id);
-    body.append(reinterpret_cast<const char*>(payload.data()),
-                payload.size());
-    std::string framed;
-    framed.reserve(body.size() + 8);
-    put<std::uint32_t>(framed, static_cast<std::uint32_t>(body.size()));
-    put<std::uint32_t>(framed, checksum32(body.data(), body.size()));
-    framed += body;
-    return framed;
-}
-
 /// Frame -> (id, bytes); nullopt on truncation / CRC mismatch.
 [[nodiscard]] std::optional<std::pair<std::uint32_t,
                                       std::vector<std::uint8_t>>>
-unframe_record(const std::string& frame) {
+unframe_record(std::string_view frame) {
     std::size_t off = 0;
     std::uint32_t len = 0;
     std::uint32_t sum = 0;
@@ -185,17 +172,21 @@ std::optional<std::string> SsdBlockStore::pread_locked(
     return bytes;
 }
 
-void SsdBlockStore::start_segment(std::uint64_t seq) {
+void SsdBlockStore::start_segment(std::uint64_t seq, std::string pending,
+                                  RecordIndex index) {
     Segment seg;
     seg.seq = seq;
     seg.path = segment_path(seq);
-    seg.bloom = BloomFilter{expected_keys(config_.segment_bytes),
-                            config_.bloom_bits_per_key};
-    std::string header;
-    put<std::uint32_t>(header, kSegmentMagic);
-    put<std::uint32_t>(header, kVersion);
-    put<std::uint64_t>(header, seq);
-    seg.pending = std::move(header);
+    const std::size_t keys = expected_keys(config_.segment_bytes);
+    seg.bloom = BloomFilter{keys, config_.bloom_bits_per_key};
+    pending.clear();
+    put<std::uint32_t>(pending, kSegmentMagic);
+    put<std::uint32_t>(pending, kVersion);
+    put<std::uint64_t>(pending, seq);
+    seg.pending = std::move(pending);
+    index.clear();
+    index.reserve(keys);  // a no-op once a recycled index has the buckets
+    seg.index = std::move(index);
     seg.total_bytes = kHeaderLen;
     total_bytes_ += kHeaderLen;
     segments_.emplace(seq, std::move(seg));
@@ -465,23 +456,37 @@ void SsdBlockStore::seal_locked(Segment& seg) {
     ++stats_.segments_sealed;
 }
 
+void SsdBlockStore::rotate_locked() {
+    Segment& act = active_locked();
+    const std::uint64_t seq = act.seq;
+    seal_locked(act);
+    // The sealed segment needs neither its (now empty) write buffer nor
+    // its cleared index; the next active segment reuses their storage.
+    std::string pending = std::move(act.pending);
+    RecordIndex index = std::move(act.index);
+    maybe_collect(seq);
+    start_segment(seq + 1, std::move(pending), std::move(index));
+}
+
 void SsdBlockStore::write(std::uint32_t id,
                           std::span<const std::uint8_t> payload) {
-    std::string frame = frame_record(id, payload);
+    const std::size_t frame_len = 12 + payload.size();  // len|crc|id|bytes
     Segment* act = &active_locked();
     if (!act->index.empty() &&
-        act->total_bytes + frame.size() > config_.segment_bytes) {
-        const std::uint64_t next = act->seq + 1;
-        seal_locked(*act);
-        maybe_collect(act->seq);
-        start_segment(next);
+        act->total_bytes + frame_len > config_.segment_bytes) {
+        rotate_locked();
         act = &active_locked();
     }
     const RecordRef ref{act->file_bytes + act->pending.size(),
-                        static_cast<std::uint32_t>(frame.size())};
-    act->pending += frame;
-    act->total_bytes += frame.size();
-    total_bytes_ += frame.size();
+                        static_cast<std::uint32_t>(frame_len)};
+    // Framed in place: [u32 len][u32 crc][u32 id | payload].
+    const std::size_t frame = begin_frame(act->pending);
+    put<std::uint32_t>(act->pending, id);
+    act->pending.append(reinterpret_cast<const char*>(payload.data()),
+                        payload.size());
+    end_frame(act->pending, frame);
+    act->total_bytes += frame_len;
+    total_bytes_ += frame_len;
     act->index[id] = ref;
     act->bloom.add(id);
     account_owner(id, act->seq);
@@ -500,7 +505,7 @@ std::optional<std::vector<std::uint8_t>> SsdBlockStore::read_from(
         ref = it->second;
         if (ref.offset >= seg.file_bytes) {
             // Still in the buffered tail — memory, not disk.
-            auto rec = unframe_record(seg.pending.substr(
+            auto rec = unframe_record(std::string_view{seg.pending}.substr(
                 static_cast<std::size_t>(ref.offset - seg.file_bytes),
                 ref.frame_len));
             if (!rec || rec->first != id) return std::nullopt;
@@ -599,12 +604,8 @@ void SsdBlockStore::drop_unflushed() {
 }
 
 void SsdBlockStore::seal_active() {
-    Segment& act = active_locked();
-    if (act.index.empty()) return;  // nothing to seal
-    const std::uint64_t next = act.seq + 1;
-    seal_locked(act);
-    maybe_collect(act.seq);
-    start_segment(next);
+    if (active_locked().index.empty()) return;  // nothing to seal
+    rotate_locked();
 }
 
 void SsdBlockStore::clear() {

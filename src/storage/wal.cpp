@@ -5,7 +5,9 @@
 #include <cstring>
 #include <filesystem>
 #include <list>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -15,7 +17,9 @@ namespace spider::storage {
 
 namespace {
 
+using wire::begin_frame;
 using wire::checksum32;
+using wire::end_frame;
 using wire::get;
 using wire::put;
 
@@ -24,26 +28,22 @@ using wire::put;
 /// or corrupt length prefix, not a real record.
 constexpr std::uint32_t kMaxPayload = 1U << 20;
 
-[[nodiscard]] std::string serialize(const cache::ResidencyRecord& record) {
-    std::string payload;
-    payload.reserve(25 + record.neighbors.size() * 4);
-    put<std::uint8_t>(payload, static_cast<std::uint8_t>(record.op));
-    put<std::uint32_t>(payload, record.id);
-    put<double>(payload, record.score);
-    put<std::uint64_t>(payload, record.generation);
-    put<std::uint32_t>(payload,
-                       static_cast<std::uint32_t>(record.neighbors.size()));
-    for (std::uint32_t n : record.neighbors) put<std::uint32_t>(payload, n);
-
-    std::string framed;
-    framed.reserve(payload.size() + 8);
-    put<std::uint32_t>(framed, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(framed, checksum32(payload.data(), payload.size()));
-    framed += payload;
-    return framed;
+/// Appends one record to `out` as a frame, encoded in place.
+void encode(std::string& out, cache::ResidencyOp op, std::uint32_t id,
+            double score = 0.0, std::uint64_t generation = 0,
+            std::span<const std::uint32_t> neighbors = {}) {
+    const std::size_t frame = begin_frame(out);
+    put<std::uint8_t>(out, static_cast<std::uint8_t>(op));
+    put<std::uint32_t>(out, id);
+    put<double>(out, score);
+    put<std::uint64_t>(out, generation);
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(neighbors.size()));
+    out.append(reinterpret_cast<const char*>(neighbors.data()),
+               neighbors.size_bytes());
+    end_frame(out, frame);
 }
 
-[[nodiscard]] bool deserialize(const std::string& payload,
+[[nodiscard]] bool deserialize(std::string_view payload,
                                cache::ResidencyRecord& out) {
     std::size_t off = 0;
     std::uint8_t op = 0;
@@ -109,7 +109,8 @@ void CacheWal::write_pending_locked() {
 void CacheWal::append(const cache::ResidencyRecord& record) {
     if (!config_.enabled) return;
     const std::lock_guard lock{mu_};
-    pending_ += serialize(record);
+    encode(pending_, record.op, record.id, record.score, record.generation,
+           record.neighbors);
     ++appended_;
     if (config_.sync_every_append) write_pending_locked();
 }
@@ -130,26 +131,15 @@ void CacheWal::compact(const cache::RestoreImage& image) {
     if (!config_.enabled) return;
     const std::lock_guard lock{mu_};
     std::string bytes;
-    cache::ResidencyRecord record;
     for (const auto& [id, score] : image.importance) {
-        record = {};
-        record.op = cache::ResidencyOp::kAdmitImportance;
-        record.id = id;
-        record.score = score;
-        bytes += serialize(record);
+        encode(bytes, cache::ResidencyOp::kAdmitImportance, id, score);
     }
     for (const auto& [key, neighbors] : image.homophily) {
-        record = {};
-        record.op = cache::ResidencyOp::kAdmitHomophily;
-        record.id = key;
-        record.neighbors = neighbors;
-        bytes += serialize(record);
+        encode(bytes, cache::ResidencyOp::kAdmitHomophily, key, 0.0, 0,
+               neighbors);
     }
     for (std::uint32_t id : image.ssd) {
-        record = {};
-        record.op = cache::ResidencyOp::kSsdInsert;
-        record.id = id;
-        bytes += serialize(record);
+        encode(bytes, cache::ResidencyOp::kSsdInsert, id);
     }
     // Tmp + rename so a crash mid-compaction keeps the old snapshot.
     const std::string tmp = snapshot_path() + ".tmp";
@@ -175,7 +165,8 @@ std::uint64_t CacheWal::parse_records(const std::string& bytes,
             return 1;  // corrupt record ends replay
         }
         cache::ResidencyRecord record;
-        if (!deserialize(bytes.substr(cursor, len), record)) {
+        if (!deserialize(std::string_view{bytes}.substr(cursor, len),
+                         record)) {
             return 1;
         }
         out.push_back(std::move(record));

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace spider::storage::wire {
 
@@ -49,8 +50,25 @@ void put(std::string& out, T value) {
     out.append(bytes, sizeof(T));
 }
 
+/// Starts a frame at the end of `out` and returns where it starts: the
+/// caller appends the payload straight into `out`, then calls end_frame.
+[[nodiscard]] inline std::size_t begin_frame(std::string& out) {
+    const std::size_t start = out.size();
+    out.append(8, '\0');  // [len][checksum], filled in by end_frame
+    return start;
+}
+
+/// Writes the header of the frame begun at `start` over everything
+/// appended to `out` since.
+inline void end_frame(std::string& out, std::size_t start) {
+    const auto len = static_cast<std::uint32_t>(out.size() - start - 8);
+    const std::uint32_t sum = checksum32(out.data() + start + 8, len);
+    std::memcpy(out.data() + start, &len, sizeof len);
+    std::memcpy(out.data() + start + 4, &sum, sizeof sum);
+}
+
 template <typename T>
-[[nodiscard]] bool get(const std::string& in, std::size_t& off, T& value) {
+[[nodiscard]] bool get(std::string_view in, std::size_t& off, T& value) {
     if (off + sizeof(T) > in.size()) return false;
     std::memcpy(&value, in.data() + off, sizeof(T));
     off += sizeof(T);
