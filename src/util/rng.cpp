@@ -73,6 +73,26 @@ double Rng::normal(double mean, double stddev) {
     return mean + stddev * normal();
 }
 
+void Rng::add_normal(std::span<float> values, double stddev) {
+    std::size_t i = 0;
+    for (; i + 2 <= values.size(); i += 2) {
+        // A uniform point in the unit disc (rejecting 21.5% of the
+        // square, and the origin) yields two independent normals.
+        double u = 0.0;
+        double v = 0.0;
+        double s = 0.0;
+        do {
+            u = 2.0 * uniform() - 1.0;
+            v = 2.0 * uniform() - 1.0;
+            s = u * u + v * v;
+        } while (s >= 1.0 || s == 0.0);
+        const double scale = stddev * std::sqrt(-2.0 * std::log(s) / s);
+        values[i] += static_cast<float>(u * scale);
+        values[i + 1] += static_cast<float>(v * scale);
+    }
+    if (i < values.size()) values[i] += static_cast<float>(stddev * normal());
+}
+
 Rng Rng::split() {
     return Rng{next() ^ 0xD1B54A32D192ED03ULL};
 }

@@ -44,6 +44,13 @@ public:
     /// Normal draw with the given mean and standard deviation.
     double normal(double mean, double stddev);
 
+    /// Adds an independent N(0, stddev^2) draw to every element. Uses
+    /// Marsaglia's polar method and keeps both values of each pair: one
+    /// log and one sqrt per two values, no trig. An odd-length tail takes
+    /// one normal(). Not the stream normal() would give, which stays
+    /// Box-Muller for everything already seeded from it.
+    void add_normal(std::span<float> values, double stddev);
+
     /// Splits off an independent child stream; used to give each worker
     /// thread or subsystem its own generator.
     [[nodiscard]] Rng split();

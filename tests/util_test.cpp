@@ -93,6 +93,44 @@ TEST(Rng, NormalMomentsMatch) {
     EXPECT_NEAR(stats.stddev(), 3.0, 0.05);
 }
 
+TEST(Rng, AddNormalMoments) {
+    // The same seed gives the same values.
+    std::vector<float> a(1001, 0.0F);
+    std::vector<float> b(1001, 0.0F);
+    Rng{5}.add_normal(a, 1.0);
+    Rng{5}.add_normal(b, 1.0);
+    EXPECT_EQ(a, b);
+    // An odd length adds a draw to every element, the tail included.
+    std::vector<float> odd(7, 100.0F);
+    Rng{6}.add_normal(odd, 1.0);
+    for (float x : odd) EXPECT_NE(x, 100.0F);
+    // stddev scales the values (same seed, same pairs accepted).
+    std::vector<float> wide(1001, 0.0F);
+    Rng{5}.add_normal(wide, 3.0);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_NEAR(wide[i], 3.0F * a[i], 1e-5F * (1.0F + std::abs(wide[i])));
+    }
+    // Over 1M draws: mean 0, variance 1, kurtosis 3, each well within
+    // its sampling error (about 0.001, 0.0014 and 0.005 at this n).
+    std::vector<float> draws(1'000'000, 0.0F);
+    Rng{23}.add_normal(draws, 1.0);
+    double sum = 0.0;
+    for (float x : draws) sum += x;
+    const double mean = sum / static_cast<double>(draws.size());
+    double m2 = 0.0;
+    double m4 = 0.0;
+    for (float x : draws) {
+        const double d = x - mean;
+        m2 += d * d;
+        m4 += d * d * d * d;
+    }
+    m2 /= static_cast<double>(draws.size());
+    m4 /= static_cast<double>(draws.size());
+    EXPECT_NEAR(mean, 0.0, 0.006);
+    EXPECT_NEAR(m2, 1.0, 0.008);
+    EXPECT_NEAR(m4 / (m2 * m2), 3.0, 0.03);
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
     Rng parent{31};
     Rng child = parent.split();
