@@ -255,11 +255,7 @@ tensor::Matrix SyntheticDataset::gather_features_augmented(
     std::span<const std::uint32_t> ids, util::Rng& rng) const {
     tensor::Matrix batch = gather_features(ids);
     const double jitter = spec_.augment_jitter * spec_.cluster_stddev;
-    if (jitter > 0.0) {
-        for (float& x : batch.flat()) {
-            x += static_cast<float>(rng.normal(0.0, jitter));
-        }
-    }
+    if (jitter > 0.0) rng.add_normal(batch.flat(), jitter);
     return batch;
 }
 
