@@ -12,11 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "data/presets.hpp"
 #include "nn/model_profile.hpp"
 #include "sim/simulator.hpp"
+#include "tensor/simd.hpp"
 #include "util/table.hpp"
 
 namespace spider::bench {
@@ -91,6 +94,19 @@ inline std::string git_sha() {
 
 /// CMAKE_BUILD_TYPE the bench binary was compiled with.
 inline const char* build_type() { return SPIDER_BUILD_TYPE; }
+
+/// The provenance members every committed BENCH_*.json ends with: source
+/// sha, dispatched kernel table, hardware threads and build type, one per
+/// line at two-space indent, without a trailing comma or newline.
+inline std::string provenance_json() {
+    std::ostringstream out;
+    out << "  \"git_sha\": \"" << git_sha() << "\",\n"
+        << "  \"isa\": \"" << tensor::simd::active_kernels().name << "\",\n"
+        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+        << ",\n"
+        << "  \"build_type\": \"" << build_type() << "\"";
+    return out.str();
+}
 
 inline void print_preamble(const char* experiment, const char* paper_ref) {
     std::cout << "### " << experiment << " — reproduces " << paper_ref

@@ -24,7 +24,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "ann/hnsw.hpp"
@@ -79,12 +78,9 @@ struct JsonWriter {
         out << "  \"" << name << "\": [\n";
     }
     void close_section() { out << "\n  ]"; }
-    void close(const std::string& isa, std::size_t threads) {
-        out << ",\n  \"git_sha\": \"" << bench::git_sha()
-            << "\",\n  \"isa\": \"" << isa << "\",\n  \"threads\": " << threads
-            << ",\n  \"hardware_threads\": "
-            << std::thread::hardware_concurrency()
-            << ",\n  \"build_type\": \"" << bench::build_type() << "\"\n}\n";
+    void close(std::size_t threads) {
+        out << ",\n  \"threads\": " << threads << ",\n"
+            << bench::provenance_json() << "\n}\n";
     }
 };
 
@@ -338,7 +334,7 @@ int main(int argc, char** argv) {
     json.close_section();
     score_table.print(std::cout);
 
-    json.close(isa, threads);
+    json.close(threads);
     std::ofstream out_file{out_path};
     out_file << json.out.str();
     if (!out_file) {

@@ -14,7 +14,8 @@
 //   (c) GC under a byte budget: whole-segment collection keeps bytes
 //       bounded while the newest working set stays resident.
 //
-// Prints tables and writes BENCH_ssd.json so the baseline is diffable.
+// Prints tables and writes BENCH_ssd.json, with the shared provenance
+// members, so the baseline is diffable.
 // Usage: bench_ssd [--smoke] [--out BENCH_ssd.json]
 // --smoke asserts the invariants and exits non-zero on violation.
 
@@ -323,7 +324,8 @@ int main(int argc, char** argv) {
              << ",\n    \"resident_items\": " << gc.resident_items
              << ", \"newest_resident\": "
              << (gc.newest_resident ? "true" : "false") << "\n  },\n"
-             << "  \"ok\": " << (ok ? "true" : "false") << "\n}\n";
+             << "  \"ok\": " << (ok ? "true" : "false") << ",\n"
+             << spider::bench::provenance_json() << "\n}\n";
         std::ofstream out{out_path};
         out << json.str();
         std::cout << "\nwrote " << out_path << "\n";
