@@ -343,26 +343,16 @@ TEST(MlpClassifier, RejectsBadInputs) {
     EXPECT_THROW(model.backward_and_step(labels), std::logic_error);
 }
 
-/// FNV-1a over raw bytes, chained through `hash`.
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t hash) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 /// Hash of the bits of everything one forward pass returns. Each field is a
 /// function of every parameter, so a one-ulp move of any weight shows here.
 std::uint64_t hash_of(const ForwardResult& fwd) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    hash = fnv1a(fwd.per_sample_loss.data(),
-                 fwd.per_sample_loss.size() * sizeof(double), hash);
-    hash = fnv1a(fwd.embeddings.data(), fwd.embeddings.size() * sizeof(float),
-                 hash);
-    return fnv1a(fwd.predictions.data(),
-                 fwd.predictions.size() * sizeof(std::uint32_t), hash);
+    std::uint64_t hash = golden::fnv1a(
+        golden::kFnvBasis, fwd.per_sample_loss.data(),
+        fwd.per_sample_loss.size() * sizeof(double));
+    hash = golden::fnv1a(hash, fwd.embeddings.data(),
+                         fwd.embeddings.size() * sizeof(float));
+    return golden::fnv1a(hash, fwd.predictions.data(),
+                         fwd.predictions.size() * sizeof(std::uint32_t));
 }
 
 // Golden training run of the classifier at the shapes both training
