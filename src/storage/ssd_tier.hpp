@@ -19,8 +19,9 @@
 // Thread safety: the tier sits on the cache server's miss path, where the
 // event loop and any direct library users may touch it from different
 // threads, so fetch/insert/counters are internally serialized by one
-// mutex (the LRU list is all pointer chasing — a sharded scheme would buy
-// nothing at SSD latencies). batch_read_cost is pure configuration.
+// mutex (an LRU update is a few index writes in a flat table — a sharded
+// scheme would buy nothing at SSD latencies). batch_read_cost is pure
+// configuration.
 
 #include <cstdint>
 #include <memory>
