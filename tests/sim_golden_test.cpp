@@ -1,7 +1,8 @@
 // Golden runs of TrainingSimulator::run() (SimGolden.*): one row per epoch
 // with every EpochMetrics counter, the virtual times as integer
-// nanoseconds and the learning signal as hex floats, then one totals row,
-// compared against tests/golden/sim_*.txt. Every run is serial
+// nanoseconds and the learning signal as hex floats, then one totals row
+// (and, for a traced run, one row hashing the access trace), compared
+// against tests/golden/sim_*.txt. Every run is serial
 // (worker_threads = 1, cache_shards = 1), so each file is a pure function
 // of the code; ctest runs the suite under SPIDER_SIMD=scalar so the files
 // hold on any host. A behaviour-neutral change to run() or to a layer it
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -102,13 +104,30 @@ std::vector<std::string> rows_of(const metrics::RunResult& result) {
     return rows;
 }
 
+/// The epoch rows, then one row with the record count and an FNV-1a hash
+/// of every access-trace record (field by field, so padding never counts).
+std::vector<std::string> rows_with_trace_of(const metrics::RunResult& result) {
+    std::vector<std::string> rows = rows_of(result);
+    std::uint64_t hash = golden::kFnvBasis;
+    for (const trace::Record& r : result.access_trace.records()) {
+        const std::uint32_t fields[] = {r.epoch, r.requested, r.served,
+                                        static_cast<std::uint32_t>(r.outcome)};
+        hash = golden::fnv1a(hash, fields, sizeof fields);
+    }
+    rows.push_back(row_of("trace %zu %016llx", result.access_trace.size(),
+                          static_cast<unsigned long long>(hash)));
+    return rows;
+}
+
 void expect_golden_run(const std::string& name, const SimConfig& config) {
     ASSERT_EQ(std::string_view{tensor::simd::active_kernels().name},
               "portable")
         << "the golden runs are pinned on the portable kernels; run under "
            "SPIDER_SIMD=scalar (ctest does)";
+    const metrics::RunResult result = TrainingSimulator{config}.run();
     golden::expect_golden("sim_" + name + ".txt",
-                          rows_of(TrainingSimulator{config}.run()),
+                          config.record_trace ? rows_with_trace_of(result)
+                                              : rows_of(result),
                           "SimGolden " + name);
 }
 
@@ -188,6 +207,33 @@ TEST(SimGolden, ShadowTuner) {
     config.tuner.margin = 0.0;
     config.tuner.sustain_epochs = 1;
     expect_golden_run("tuner", config);
+}
+
+TEST(SimGolden, ICacheTwoGpusWithTrace) {
+    // Loss-based selective backprop (train_mask, stage2_scale), the
+    // all-reduce term, the sampler's score spread and the trace merge.
+    SimConfig config = base_config();
+    config.strategy = StrategyKind::kICache;
+    config.num_gpus = 2;
+    config.record_trace = true;
+    expect_golden_run("icache_2gpu_trace", config);
+}
+
+TEST(SimGolden, ColdRestartWithSsdAdaptivePrefetchAndTuner) {
+    // A kill without a WAL: every rebuilt part starts empty, including the
+    // residency-model SSD tier, the adaptive lookahead and the tuner panel.
+    SimConfig config = base_config();
+    config.epochs = 5;
+    config.restart_epoch = 2;
+    config.ssd.enabled = true;
+    config.ssd.capacity_items = 150;
+    config.prefetch_enabled = true;
+    config.prefetch_adaptive = true;
+    config.prefetch_window_max = 64;
+    config.tuner.enabled = true;
+    config.tuner.ratio_grid = {0.6, 0.9};
+    config.tuner.sustain_epochs = 1;
+    expect_golden_run("cold_restart", config);
 }
 
 }  // namespace
