@@ -11,8 +11,9 @@
 // ratio means fewer remote fetches exposed to the weather, so the cache
 // itself is a fault-tolerance mechanism.
 //
-// Prints a table and writes BENCH_faults.json so the trend is diffable
-// across PRs.
+// Prints a table and writes BENCH_faults.json, with the shared provenance
+// (git sha, ISA, hardware threads, build type), so the trend is diffable
+// across changes.
 //
 // --weather adds Markov-weather rows (DESIGN.md §12.1): the same i.i.d.
 // rates modulated by the good/degraded/outage chain, so faults arrive in
@@ -271,7 +272,8 @@ int main(int argc, char** argv) {
          << "    \"cold_cold_start_misses\": " << cold.cold_start_misses
          << ",\n"
          << "    \"warm_cold_start_misses\": " << warm.cold_start_misses
-         << "\n  },\n  \"epochs\": " << epochs << "\n}\n";
+         << "\n  },\n  \"epochs\": " << epochs << ",\n"
+         << bench::provenance_json() << "\n}\n";
     std::ofstream out_file{out_path};
     out_file << json.str();
     if (!out_file) {

@@ -39,9 +39,9 @@
 #   tools/run_tier1.sh --cluster  # additionally: ThreadSanitizer pass over
 #                                 # the multi-node cooperative cache
 #                                 # (DESIGN.md §11): concurrent service()
-#                                 # across nodes, hash-ring ownership, and
-#                                 # the threaded cluster-mode simulator,
-#                                 # in build-tsan/
+#                                 # across nodes, hash-ring ownership, the
+#                                 # threaded cluster-mode simulator, and
+#                                 # the golden run() files, in build-tsan/
 #   tools/run_tier1.sh --policy   # additionally: ThreadSanitizer pass over
 #                                 # the eviction-policy seam and the shadow
 #                                 # tuner (DESIGN.md §13): policy parity
@@ -189,16 +189,18 @@ if [[ "$run_cluster" == 1 ]]; then
   echo "== opt-in: ThreadSanitizer pass over the cooperative cache =="
   # Loader workers hammering CooperativeCache::service() across nodes
   # (shared freq table, per-node shards, budget reservations), the ring
-  # unit suite, and the threaded multi-node simulator run.
+  # unit suite, the threaded multi-node simulator run, and the golden
+  # run() files (the cooperative cache lives in run()'s process state).
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPIDER_TSAN=ON \
     -DSPIDER_BUILD_BENCH=OFF \
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" \
-    --target cluster_test hash_ring_test cache_concurrency_test
+    --target cluster_test hash_ring_test cache_concurrency_test \
+             sim_golden_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ClusterConcurrent|ClusterSim|CooperativeCacheTest|HashRing'
+    -R 'ClusterConcurrent|ClusterSim|CooperativeCacheTest|HashRing|SimGolden'
 fi
 
 if [[ "$run_policy" == 1 ]]; then
