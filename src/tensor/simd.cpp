@@ -12,7 +12,8 @@ namespace {
 // reduction has instruction-level parallelism even without explicit SIMD,
 // and so -O2/-O3 auto-vectorization has straight-line bodies to work with.
 
-float squared_l2_portable(const float* a, const float* b, std::size_t n) {
+inline float squared_l2_portable(const float* a, const float* b,
+                                std::size_t n) {
     float acc0 = 0.0F;
     float acc1 = 0.0F;
     float acc2 = 0.0F;
@@ -33,6 +34,19 @@ float squared_l2_portable(const float* a, const float* b, std::size_t n) {
         acc0 += d * d;
     }
     return (acc0 + acc1) + (acc2 + acc3);
+}
+
+std::size_t squared_l2_ids_portable(const float* q, const float* base,
+                                    const std::uint32_t* ids,
+                                    std::size_t count, std::size_t n,
+                                    float stop_below, float* out) {
+    // squared_l2_portable inlined per row: same arithmetic, no indirect
+    // call.
+    for (std::size_t j = 0; j < count; ++j) {
+        out[j] = squared_l2_portable(q, base + std::size_t{ids[j]} * n, n);
+        if (out[j] < stop_below) return j;
+    }
+    return count;
 }
 
 inline float dot_portable(const float* a, const float* b, std::size_t n) {
@@ -109,8 +123,9 @@ void gemm_acc_portable(std::size_t m, std::size_t n, std::size_t k,
 }
 
 constexpr Kernels kPortable{
-    "portable",    squared_l2_portable, dot_portable, dot_rows_portable,
-    axpy_portable, gemm_acc_portable,
+    "portable",        squared_l2_portable, squared_l2_ids_portable,
+    dot_portable,      dot_rows_portable,   axpy_portable,
+    gemm_acc_portable,
 };
 
 bool cpu_has_avx2_fma() {

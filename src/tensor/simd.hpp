@@ -14,11 +14,13 @@
 // `SPIDER_SIMD=scalar` in the environment pins the portable table — the
 // before/after axis of bench_micro_kernels. The plain-loop *_scalar
 // reference implementations live in ops.hpp; parity tests compare the
-// dispatched kernels against them to 1e-5. `dot_rows` has a stricter
-// contract, checked bit for bit: within one table it returns exactly what
-// that table's `dot` returns for each row.
+// dispatched kernels against them to 1e-5. `dot_rows` and `squared_l2_ids`
+// have a stricter contract, checked bit for bit: within one table they
+// return exactly what that table's `dot` and `squared_l2` return for each
+// row.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace spider::tensor::simd {
 
@@ -29,6 +31,16 @@ struct Kernels {
 
     /// sum_i (a[i] - b[i])^2
     float (*squared_l2)(const float* a, const float* b, std::size_t n);
+
+    /// out[j] = squared_l2(q, base + ids[j]*n, n) for j = 0, 1, ... in
+    /// order, bit-equal to this table's `squared_l2`. Returns the first j
+    /// with out[j] < stop_below, after writing out[0..j], or `count` when
+    /// there is none. stop_below = 0 never stops: squared distances are
+    /// >= +0. This is one query against many rows of a row-major arena
+    /// (an HNSW link list), with one indirect call per list.
+    std::size_t (*squared_l2_ids)(const float* q, const float* base,
+                                  const std::uint32_t* ids, std::size_t count,
+                                  std::size_t n, float stop_below, float* out);
 
     /// sum_i a[i] * b[i]
     float (*dot)(const float* a, const float* b, std::size_t n);

@@ -24,7 +24,7 @@ float hsum8(__m256 v) {
     return _mm_cvtss_f32(sum);
 }
 
-float squared_l2_avx2(const float* a, const float* b, std::size_t n) {
+inline float squared_l2_avx2(const float* a, const float* b, std::size_t n) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
     std::size_t i = 0;
@@ -47,6 +47,43 @@ float squared_l2_avx2(const float* a, const float* b, std::size_t n) {
         sum += d * d;
     }
     return sum;
+}
+
+// squared_l2_avx2 for one query against rows of an arena. At n == 32 (the
+// embedding width the simulator indexes) the query stays in four registers
+// and each row runs squared_l2_avx2's arithmetic for that width: acc0 takes
+// lanes [0,8) then [16,24), acc1 takes [8,16) then [24,32), and the row
+// reduces as hsum8(acc0 + acc1) with no tail. Every other width inlines
+// squared_l2_avx2 per row. Either way out[j] is bit-equal to
+// squared_l2_avx2(q, row, n).
+std::size_t squared_l2_ids_avx2(const float* q, const float* base,
+                                const std::uint32_t* ids, std::size_t count,
+                                std::size_t n, float stop_below, float* out) {
+    if (n == 32) {
+        const __m256 q0 = _mm256_loadu_ps(q);
+        const __m256 q1 = _mm256_loadu_ps(q + 8);
+        const __m256 q2 = _mm256_loadu_ps(q + 16);
+        const __m256 q3 = _mm256_loadu_ps(q + 24);
+        for (std::size_t j = 0; j < count; ++j) {
+            const float* b = base + std::size_t{ids[j]} * 32;
+            const __m256 d0 = _mm256_sub_ps(q0, _mm256_loadu_ps(b));
+            const __m256 d1 = _mm256_sub_ps(q1, _mm256_loadu_ps(b + 8));
+            const __m256 d2 = _mm256_sub_ps(q2, _mm256_loadu_ps(b + 16));
+            const __m256 d3 = _mm256_sub_ps(q3, _mm256_loadu_ps(b + 24));
+            __m256 acc0 = _mm256_fmadd_ps(d0, d0, _mm256_setzero_ps());
+            __m256 acc1 = _mm256_fmadd_ps(d1, d1, _mm256_setzero_ps());
+            acc0 = _mm256_fmadd_ps(d2, d2, acc0);
+            acc1 = _mm256_fmadd_ps(d3, d3, acc1);
+            out[j] = hsum8(_mm256_add_ps(acc0, acc1));
+            if (out[j] < stop_below) return j;
+        }
+        return count;
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+        out[j] = squared_l2_avx2(q, base + std::size_t{ids[j]} * n, n);
+        if (out[j] < stop_below) return j;
+    }
+    return count;
 }
 
 float dot_avx2(const float* a, const float* b, std::size_t n) {
@@ -329,8 +366,8 @@ void gemm_acc_avx2(std::size_t m, std::size_t n, std::size_t k,
 }
 
 constexpr Kernels kAvx2{
-    "avx2+fma", squared_l2_avx2, dot_avx2,     dot_rows_avx2,
-    axpy_avx2,  gemm_acc_avx2,
+    "avx2+fma", squared_l2_avx2, squared_l2_ids_avx2, dot_avx2,
+    dot_rows_avx2, axpy_avx2, gemm_acc_avx2,
 };
 
 }  // namespace

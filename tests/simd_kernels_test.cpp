@@ -2,7 +2,8 @@
 // dispatched squared_l2 / GEMM / axpy paths must agree with the plain-loop
 // *_scalar references to 1e-5 over random shapes, with special attention to
 // ragged tails that are not multiples of the SIMD width (8/16 floats).
-// dot_rows is held to its table's own dot bit for bit.
+// dot_rows and squared_l2_ids are held to their table's own dot and
+// squared_l2 bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,7 @@ TEST(SimdDispatch, TablesAreWellFormed) {
     EXPECT_NE(active.name, nullptr);
     EXPECT_NE(portable.name, nullptr);
     EXPECT_NE(active.squared_l2, nullptr);
+    EXPECT_NE(active.squared_l2_ids, nullptr);
     EXPECT_NE(active.dot, nullptr);
     EXPECT_NE(active.dot_rows, nullptr);
     EXPECT_NE(active.axpy, nullptr);
@@ -132,6 +134,61 @@ TEST(SimdParity, DotRowsBitEqualToDot) {
                 }
                 EXPECT_EQ(out[rows], -1.0F) << table->name << " k=" << k
                                             << " rows=" << rows;
+            }
+        }
+    }
+}
+
+// Every table's squared_l2_ids must return exactly what the same table's
+// squared_l2 returns for each listed row, at every n across the 8/16-wide
+// steps and the dim-32 fast path, over unsorted and repeated ids. With
+// stop_below = 0 it writes the whole list; with stop_below just above a
+// value in the middle it stops at the first value below it, having written
+// every out up to that one and none after (the sentinel).
+TEST(SimdParity, SquaredL2IdsBitEqualToSquaredL2) {
+    std::vector<const simd::Kernels*> tables = {&simd::portable_kernels()};
+    if (&simd::active_kernels() != tables.front()) {
+        tables.push_back(&simd::active_kernels());
+    }
+    const std::vector<std::uint32_t> ids = {5, 0, 5, 3, 6, 1, 1, 2, 4};
+    constexpr std::size_t kRows = 7;
+    const float sentinel = -1.0F;
+    const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+    util::Rng rng{41};
+    for (const simd::Kernels* table : tables) {
+        for (std::size_t n = 0; n <= 130; ++n) {
+            const std::vector<float> q = random_vec(rng, n);
+            const std::vector<float> base = random_vec(rng, kRows * n);
+            std::vector<float> want(ids.size());
+            for (std::size_t j = 0; j < ids.size(); ++j) {
+                want[j] = table->squared_l2(q.data(), base.data() + ids[j] * n, n);
+            }
+            for (const std::size_t count : {std::size_t{0}, ids.size()}) {
+                std::vector<float> out(ids.size() + 1, sentinel);
+                const std::size_t got = table->squared_l2_ids(
+                    q.data(), base.data(), ids.data(), count, n, 0.0F,
+                    out.data());
+                EXPECT_EQ(got, count) << table->name << " n=" << n;
+                for (std::size_t j = 0; j < count; ++j) {
+                    EXPECT_EQ(bits(out[j]), bits(want[j]))
+                        << table->name << " n=" << n << " row " << j << ": "
+                        << out[j] << " vs " << want[j];
+                }
+                EXPECT_EQ(out[count], sentinel) << table->name << " n=" << n;
+            }
+            const std::size_t middle = ids.size() / 2;
+            const float stop = std::nextafter(
+                want[middle], std::numeric_limits<float>::infinity());
+            std::size_t expected = 0;
+            while (!(want[expected] < stop)) ++expected;
+            std::vector<float> out(ids.size(), sentinel);
+            const std::size_t got = table->squared_l2_ids(
+                q.data(), base.data(), ids.data(), ids.size(), n, stop,
+                out.data());
+            EXPECT_EQ(got, expected) << table->name << " n=" << n;
+            for (std::size_t j = 0; j < ids.size(); ++j) {
+                EXPECT_EQ(bits(out[j]), bits(j <= expected ? want[j] : sentinel))
+                    << table->name << " n=" << n << " stop row " << j;
             }
         }
     }
