@@ -20,8 +20,15 @@
 // Ties: candidates order by (distance, internal id), and internal ids
 // follow insertion order, so equal distances come back from knn (and feed
 // neighbour selection) in the order their labels were first inserted.
+//
+// Inputs: upsert and knn reject a vector with a NaN or infinite component
+// (std::invalid_argument), so every distance is a finite non-negative
+// float or +inf from overflow, and distances order as their bit patterns
+// do. An index holds fewer than 2^31 nodes: upsert rejects the new label
+// that would make size() reach 2^31.
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -32,6 +39,7 @@
 #include <vector>
 
 #include "ann/bruteforce.hpp"  // Neighbor
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 
 namespace spider::ann {
@@ -70,11 +78,15 @@ public:
     /// its vector in place and rewires its links at every level (the
     /// "dynamic sample update" the paper relies on: embeddings drift every
     /// epoch as the model trains). Writer: takes the phase lock exclusively.
+    /// Throws std::invalid_argument, changing nothing, on a wrong
+    /// dimension, a non-finite component, or a new label when size() is
+    /// already 2^31 - 1.
     void upsert(std::uint32_t label, std::span<const float> vec);
 
     /// K nearest neighbors by Euclidean distance, ascending. `ef` overrides
     /// ef_search when nonzero. The query label itself is *not* excluded.
-    /// Reader: safe to call from many threads concurrently.
+    /// Reader: safe to call from many threads concurrently. Throws
+    /// std::invalid_argument on a wrong dimension or a non-finite component.
     [[nodiscard]] std::vector<Neighbor> knn(std::span<const float> query,
                                             std::size_t k,
                                             std::size_t ef = 0) const;
@@ -141,12 +153,13 @@ private:
     /// share one and steady state allocates nothing.
     struct VisitTable {
         Marks visited;
-        /// The beam: the best candidates so far, ascending, each flagged
-        /// once its links are scanned. A search uses a prefix of it.
-        std::vector<Candidate> beam;
-        std::vector<std::uint8_t> expanded;
+        /// The beam: the best candidates so far, ascending, as packed keys
+        /// (see pack()) whose low bit flags a slot once its links are
+        /// scanned. A search uses a prefix of it.
+        std::vector<std::uint64_t> beam;
         /// The unvisited neighbours of the node being expanded and their
-        /// distances, computed in one pass before the beam sees them.
+        /// distances, computed in one kernel call before the beam sees
+        /// them. greedy_closest uses fresh_dist for a whole link list.
         std::vector<std::uint32_t> fresh;
         std::vector<float> fresh_dist;
     };
@@ -177,7 +190,27 @@ private:
     /// Squared L2 (monotone in L2; sqrt only at the API edge). Callers
     /// count their own calls and add the total to dist_comps_ once.
     [[nodiscard]] float dist(const float* a, const float* b) const {
-        return squared_l2_(a, b, config_.dim);
+        return kernels_->squared_l2(a, b, config_.dim);
+    }
+    /// dist(query, point(ids[j])) into out[j] for j < count, in one kernel
+    /// call; stops after the first out[j] < stop_below and returns its j,
+    /// else returns count (see simd::Kernels::squared_l2_ids).
+    std::size_t dists_to(const float* query, const std::uint32_t* ids,
+                         std::size_t count, float stop_below,
+                         float* out) const {
+        return kernels_->squared_l2_ids(query, vectors_.data(), ids, count,
+                                        config_.dim, stop_below, out);
+    }
+    /// A beam key: (bits(distance) << 32) | (id << 1), expanded flag clear.
+    /// Non-negative floats order as their bits do, and ids are unique
+    /// within a search, so keys order exactly as Candidate does.
+    [[nodiscard]] static std::uint64_t pack(float distance, std::uint32_t id) {
+        return (std::uint64_t{std::bit_cast<std::uint32_t>(distance)} << 32) |
+               (std::uint64_t{id} << 1);
+    }
+    [[nodiscard]] static Candidate unpack(std::uint64_t key) {
+        return {std::bit_cast<float>(static_cast<std::uint32_t>(key >> 32)),
+                static_cast<std::uint32_t>(key) >> 1};
     }
     [[nodiscard]] const float* point(std::uint32_t id) const {
         return vectors_.data() + std::size_t{id} * config_.dim;
@@ -191,23 +224,26 @@ private:
     void append_vector(std::span<const float> vec);
 
     /// Greedy descent on one layer: returns the closest node found.
+    /// `table` lends its distance scratch.
     [[nodiscard]] std::uint32_t greedy_closest(const float* query,
                                                std::uint32_t entry,
                                                std::size_t layer,
+                                               VisitTable& table,
                                                std::uint64_t& comps) const;
 
-    /// Beam search on one layer; returns up to `ef` candidates sorted
+    /// Beam search on one layer; returns up to `ef` packed keys sorted
     /// ascending by (distance, id). The result lives in `table` and is
     /// valid until its next search.
-    [[nodiscard]] std::span<Candidate> search_layer(
+    [[nodiscard]] std::span<const std::uint64_t> search_layer(
         const float* query, std::uint32_t entry, std::size_t ef,
         std::size_t layer, VisitTable& table, std::uint64_t& comps) const;
 
     /// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): keeps
     /// a candidate only if it is closer to the query than to every
-    /// already-kept neighbor, preserving graph navigability. Sorts
-    /// `candidates` in place and writes the choice to `selected`.
-    void select_neighbors(std::span<Candidate> candidates, std::size_t m,
+    /// already-kept neighbor, preserving graph navigability. `candidates`
+    /// must be sorted by (distance, id); writes the choice to `selected`.
+    void select_neighbors(std::span<const Candidate> candidates,
+                          std::size_t m,
                           std::vector<std::uint32_t>& selected,
                           std::uint64_t& comps);
 
@@ -224,8 +260,9 @@ private:
     HnswConfig config_;
     double level_lambda_;  // 1 / ln(M)
     util::Rng rng_;
-    /// Resolved once: the dispatched kernel, called without a wrapper.
-    float (*squared_l2_)(const float*, const float*, std::size_t);
+    /// Resolved once: the dispatched kernel table, called without a
+    /// wrapper.
+    const tensor::simd::Kernels* kernels_;
     std::vector<Node> nodes_;
     /// All vectors, contiguous: node i's vector is [i*dim, (i+1)*dim).
     std::vector<float> vectors_;
@@ -239,7 +276,7 @@ private:
     Marks marks_;
     std::vector<std::uint32_t> selected_;
     std::vector<std::uint32_t> pruned_;
-    std::vector<std::uint32_t> keep_;
+    std::vector<float> dists_;
     std::vector<Candidate> cands_;
     /// Reader/writer phase lock: queries shared, upserts exclusive.
     mutable std::shared_mutex phase_mutex_;

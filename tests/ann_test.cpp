@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 #include <sstream>
@@ -370,6 +371,37 @@ TEST(Hnsw, RejectsBadConfigAndInput) {
                  std::invalid_argument);
     EXPECT_THROW(index.knn(std::vector<float>{1.0F}, 1),
                  std::invalid_argument);
+}
+
+// A NaN or infinite component is rejected by upsert (new label or update)
+// and by knn, and leaves the index as it was: no node, no moved vector, no
+// distance computed.
+TEST(Hnsw, RejectsNonFiniteInput) {
+    HnswConfig config;
+    config.dim = 4;
+    HnswIndex index{config};
+    util::Rng rng{43};
+    for (std::uint32_t i = 0; i < 20; ++i) {
+        index.upsert(i, random_point(rng, 4));
+    }
+    const std::vector<float> stored{index.vector_of(3)->begin(),
+                                    index.vector_of(3)->end()};
+    const std::size_t size = index.size();
+    const std::uint64_t comps = index.distance_computations();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float bad : {nan, inf, -inf}) {
+        std::vector<float> point = random_point(rng, 4);
+        point[2] = bad;
+        EXPECT_THROW(index.upsert(100, point), std::invalid_argument);
+        EXPECT_THROW(index.upsert(3, point), std::invalid_argument);
+        EXPECT_THROW((void)index.knn(point, 5), std::invalid_argument);
+    }
+    EXPECT_EQ(index.size(), size);
+    EXPECT_FALSE(index.contains(100));
+    EXPECT_EQ(index.distance_computations(), comps);
+    const auto now = index.vector_of(3);
+    EXPECT_EQ(std::vector<float>(now->begin(), now->end()), stored);
 }
 
 TEST(Hnsw, DistanceCounterAdvances) {
