@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/similarity.hpp"
 #include "tensor/ops.hpp"
@@ -100,21 +101,35 @@ ScoreResult GraphImportanceScorer::score(std::uint32_t id) const {
 
 std::vector<ScoreResult> GraphImportanceScorer::score_batch(
     std::span<const std::uint32_t> ids, util::ThreadPool* pool) const {
-    std::vector<ScoreResult> results(ids.size());
-    if (pool == nullptr || pool->size() < 2 || ids.size() < 2) {
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            results[i] = score(ids[i]);
-        }
-        return results;
+    // Score each distinct id once, at its first position. No upsert runs
+    // during the call, so a repeat's query would return the same result.
+    std::vector<std::size_t> first(ids.size());
+    std::vector<std::size_t> distinct;
+    std::unordered_map<std::uint32_t, std::size_t> first_of;
+    first_of.reserve(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const auto [it, fresh] = first_of.try_emplace(ids[i], i);
+        first[i] = it->second;
+        if (fresh) distinct.push_back(i);
     }
-    // Chunked fan-out; each slot is written by exactly one worker, so the
-    // only shared state is the index's concurrent-read path.
-    pool->parallel_for(ids.size(), /*grain=*/8,
-                       [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                               results[i] = score(ids[i]);
-                           }
-                       });
+
+    std::vector<ScoreResult> results(ids.size());
+    if (pool == nullptr || pool->size() < 2 || distinct.size() < 2) {
+        for (const std::size_t i : distinct) results[i] = score(ids[i]);
+    } else {
+        // Chunked fan-out; each slot is written by exactly one worker, so
+        // the only shared state is the index's concurrent-read path.
+        pool->parallel_for(distinct.size(), /*grain=*/8,
+                           [&](std::size_t begin, std::size_t end) {
+                               for (std::size_t d = begin; d < end; ++d) {
+                                   const std::size_t i = distinct[d];
+                                   results[i] = score(ids[i]);
+                               }
+                           });
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (first[i] != i) results[i] = results[first[i]];
+    }
     return results;
 }
 

@@ -94,7 +94,8 @@ public:
     /// safe because knn queries are concurrent readers of the index (see
     /// hnsw.hpp's phase contract; no upserts may run during the call) —
     /// and `label_of` must be callable from multiple threads. Results are
-    /// positionally identical to calling score(ids[i]) serially.
+    /// positionally identical to calling score(ids[i]) serially; an id
+    /// that repeats in the batch is queried once and its result copied.
     [[nodiscard]] std::vector<ScoreResult> score_batch(
         std::span<const std::uint32_t> ids,
         util::ThreadPool* pool = nullptr) const;

@@ -281,5 +281,64 @@ TEST(ScoreBatch, ParallelEqualsSerialExactly) {
     }
 }
 
+// A batch that repeats ids (the multinomial sampler draws with
+// replacement) gives, position by position, what score() gives, serially
+// and over a pool, with one knn query per distinct id.
+TEST(ScoreBatch, DuplicateIdsMatchSerialScore) {
+    ann::HnswConfig ann;
+    ann.dim = 8;
+    ann::HnswIndex index{ann};
+    ScorerConfig config;
+    config.neighbor_k = 12;
+    GraphImportanceScorer scorer{index, config,
+                                 [](std::uint32_t id) { return id % 5; }};
+
+    util::Rng rng{53};
+    const std::uint32_t population = 200;
+    std::vector<float> embedding(8);
+    for (std::uint32_t id = 0; id < population; ++id) {
+        const double center = static_cast<double>(id % 5);
+        for (float& x : embedding) {
+            x = static_cast<float>(rng.normal(center, 1.0));
+        }
+        scorer.update_embedding(id, embedding);
+    }
+
+    // 160 draws from 40 ids: most ids repeat, some several times.
+    std::vector<std::uint32_t> ids(160);
+    for (std::uint32_t& id : ids) {
+        id = static_cast<std::uint32_t>(rng.uniform_index(40));
+    }
+    std::vector<ScoreResult> want(ids.size());
+    std::vector<bool> seen(population, false);
+    std::uint64_t distinct_comps = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::uint64_t before = index.distance_computations();
+        want[i] = scorer.score(ids[i]);
+        if (!seen[ids[i]]) {
+            seen[ids[i]] = true;
+            distinct_comps += index.distance_computations() - before;
+        }
+    }
+
+    util::ThreadPool pool{4};
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+        const std::uint64_t before = index.distance_computations();
+        const std::vector<ScoreResult> got = scorer.score_batch(ids, p);
+        EXPECT_EQ(index.distance_computations() - before, distinct_comps)
+            << (p == nullptr ? "serial" : "pool");
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].score, want[i].score) << "position " << i;
+            EXPECT_EQ(got[i].x_same, want[i].x_same) << "position " << i;
+            EXPECT_EQ(got[i].x_other, want[i].x_other) << "position " << i;
+            EXPECT_EQ(got[i].neighbor_ids, want[i].neighbor_ids)
+                << "position " << i;
+            EXPECT_EQ(got[i].close_neighbor_ids, want[i].close_neighbor_ids)
+                << "position " << i;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace spider::core
