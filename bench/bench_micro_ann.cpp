@@ -78,17 +78,21 @@ void BM_HnswUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_HnswUpdate)->Arg(1000)->Arg(5000);
 
-// The importance-sampling stage of train_spider in miniature: 1470
-// clustered unit vectors at dim 32 (the index size a 2000-sample run
-// holds after its first epoch), then per iteration one batch of 128
+// The importance-sampling stage of train_spider in miniature: `nodes`
+// clustered unit vectors at `dim`, then per iteration one batch of 128
 // drifting in-place upserts followed by knn(self, 32, 48) for each of
-// them. A fixed 100 batches (about 8.7 drift passes) keeps the distance
-// counts reproducible. Counters: wall time per sample (one upsert plus
-// one knn), split into its upsert and knn halves, and distance
-// computations per upsert and per knn.
+// them. A fixed 100 batches keeps the distance counts reproducible.
+// Arguments (nodes, dim): 1470 x 32 is the index a 2000-sample
+// train_spider run holds after its first epoch (100 batches are about 8.7
+// drift passes); 20k and 200k nodes move the vectors and links out of L2
+// toward the paper's ImageNet scale. 1M nodes is not registered, since
+// its build alone takes minutes; add ->Args({1000000, 32}) below to run it
+// by hand. Counters: wall time per sample (one upsert plus one knn),
+// split into its upsert and knn halves, distance computations per upsert
+// and per knn, and the index size in MiB.
 void BM_HnswDriftBatch(benchmark::State& state) {
-    constexpr std::size_t kDim = 32;
-    constexpr std::uint32_t kPopulation = 1470;
+    const auto population = static_cast<std::uint32_t>(state.range(0));
+    const auto dim = static_cast<std::size_t>(state.range(1));
     constexpr std::uint32_t kBatch = 128;
     const auto normalize = [](std::vector<float>& p) {
         double norm_sq = 0.0;
@@ -99,16 +103,16 @@ void BM_HnswDriftBatch(benchmark::State& state) {
     util::Rng rng{29};
     std::vector<std::vector<float>> centers;
     for (int c = 0; c < 8; ++c) {
-        std::vector<float> center(kDim);
+        std::vector<float> center(dim);
         for (float& x : center) x = static_cast<float>(rng.normal());
         centers.push_back(std::move(center));
     }
     ann::HnswConfig config;
-    config.dim = kDim;
+    config.dim = dim;
     ann::HnswIndex index{config};
     std::vector<std::vector<float>> points;
-    points.reserve(kPopulation);
-    for (std::uint32_t i = 0; i < kPopulation; ++i) {
+    points.reserve(population);
+    for (std::uint32_t i = 0; i < population; ++i) {
         std::vector<float> p = centers[i % centers.size()];
         for (float& x : p) x += static_cast<float>(rng.normal());
         normalize(p);
@@ -128,7 +132,7 @@ void BM_HnswDriftBatch(benchmark::State& state) {
         const std::uint64_t start = index.distance_computations();
         for (std::uint32_t& label : batch) {
             label = next;
-            next = (next + 1) % kPopulation;
+            next = (next + 1) % population;
             for (float& x : points[label]) {
                 x += static_cast<float>(rng.normal(0.0, 0.05));
             }
@@ -155,8 +159,16 @@ void BM_HnswDriftBatch(benchmark::State& state) {
     state.counters["knn_us"] = micros(knn_time) / ops;
     state.counters["upsert_comps"] = static_cast<double>(upsert_comps) / ops;
     state.counters["knn_comps"] = static_cast<double>(knn_comps) / ops;
+    state.counters["index_mib"] =
+        static_cast<double>(index.memory_bytes()) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_HnswDriftBatch)->Unit(benchmark::kMillisecond)->Iterations(100);
+BENCHMARK(BM_HnswDriftBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(100)
+    ->Args({1470, 32})
+    ->Args({20000, 32})
+    ->Args({20000, 128})
+    ->Args({200000, 32});
 
 // Threaded axis: the scoring phase issues knn from many threads against a
 // fixed graph (hnsw.hpp phase contract). gbench's --benchmark_filter can

@@ -1,6 +1,8 @@
 // Before/after microbench for the vectorized hot path (ISSUE 1):
 //
 //   - squared_l2 at ANN-relevant dims      -> GB/s   (scalar vs dispatched)
+//   - one query against a link list         -> ns per distance (a loop of
+//     squared_l2 calls vs one squared_l2_ids call, dispatched table)
 //   - GEMM at training-loop shapes          -> GFLOP/s (scalar vs dispatched),
 //     including dY @ W^T at the three backward shapes of the MLP
 //   - one MLP training step                 -> us per forward and per
@@ -193,6 +195,55 @@ int main(int argc, char** argv) {
     }
     json.close_section();
     dist_table.print(std::cout);
+
+    // ---- squared_l2_ids: one query against one link list of arena rows
+    // (24 ids, a full level-0 list at M = 12) in one call, against a loop
+    // of per-call squared_l2 through the same table, which is how HNSW
+    // computed a list before the one-to-many kernel.
+    const tensor::simd::Kernels& kernels = tensor::simd::active_kernels();
+    util::Table ids_table{"one-to-many squared_l2 (" + std::string{isa} +
+                          ", per-call loop vs squared_l2_ids)"};
+    ids_table.set_header({"dim", "loop ns/dist", "ids ns/dist", "speedup"});
+    json.section("squared_l2_ids");
+    first = true;
+    for (const std::size_t dim : {32UL, 128UL}) {
+        constexpr std::size_t kRows = 2048;
+        constexpr std::size_t kList = 24;
+        const std::vector<float> base = random_vec(rng, kRows * dim);
+        const std::vector<float> q = random_vec(rng, dim);
+        std::vector<std::uint32_t> ids(kList);
+        for (std::uint32_t& id : ids) {
+            id = static_cast<std::uint32_t>(rng.uniform_index(kRows));
+        }
+        std::vector<float> out(kList);
+        volatile float sink = 0.0F;
+        const double t_loop = time_per_iter([&] {
+            for (std::size_t j = 0; j < kList; ++j) {
+                out[j] = kernels.squared_l2(q.data(),
+                                            base.data() + ids[j] * dim, dim);
+            }
+            sink = sink + out[kList - 1];
+        });
+        const double t_ids = time_per_iter([&] {
+            kernels.squared_l2_ids(q.data(), base.data(), ids.data(), kList,
+                                   dim, 0.0F, out.data());
+            sink = sink + out[kList - 1];
+        });
+        const double ns_loop = t_loop * 1e9 / static_cast<double>(kList);
+        const double ns_ids = t_ids * 1e9 / static_cast<double>(kList);
+        const double speedup = t_loop / t_ids;
+        ids_table.add_row({std::to_string(dim), util::Table::fmt(ns_loop, 2),
+                           util::Table::fmt(ns_ids, 2),
+                           util::Table::fmt(speedup, 2)});
+        if (!first) json.out << ",\n";
+        first = false;
+        json.out << "    {\"dim\": " << dim << ", \"list\": " << kList
+                 << ", \"loop_ns_per_dist\": " << ns_loop
+                 << ", \"ids_ns_per_dist\": " << ns_ids
+                 << ", \"speedup\": " << speedup << "}";
+    }
+    json.close_section();
+    ids_table.print(std::cout);
 
     // ---- GEMM: GFLOP/s at the shapes the MLP training loop issues
     // (batch x hidden forward, gradient transposes, and dY @ W^T at the

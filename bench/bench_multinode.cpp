@@ -13,8 +13,9 @@
 //   * with a straggler, hedging recovers most of the straggler-free
 //     mean (>= half of the tail inflation, with margin to spare).
 //
-// Prints a table and writes BENCH_multinode.json so the baseline is
-// diffable across PRs. `--smoke` runs a reduced grid with hard
+// Prints a table and writes BENCH_multinode.json, ending with the
+// provenance members (git sha, ISA, hardware threads, build type), so the
+// baseline is diffable across PRs. `--smoke` runs a reduced grid with hard
 // assertions (exits non-zero when a headline fails), wired into ctest
 // as BenchSmoke.Multinode. All costs are virtual-clock: the numbers are
 // deterministic for a given seed, machine-independent.
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/cooperative_cache.hpp"
 #include "data/presets.hpp"
 #include "storage/remote_store.hpp"
@@ -257,7 +259,8 @@ int main(int argc, char** argv) {
          << "  \"epochs\": " << epochs
          << ",\n  \"accesses_per_epoch\": " << accesses
          << ",\n  \"dataset_samples\": " << dataset.size()
-         << ",\n  \"items_per_node\": " << per_node_items << "\n}\n";
+         << ",\n  \"items_per_node\": " << per_node_items << ",\n"
+         << spider::bench::provenance_json() << "\n}\n";
     if (!out_path.empty()) {
         std::ofstream out{out_path};
         out << json.str();
