@@ -1,5 +1,7 @@
 #include "ann/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -120,6 +122,9 @@ HnswIndex load_index(std::istream& is) {
     index.empty_ = read_scalar<std::uint8_t>(is) != 0;
 
     const auto node_count = read_scalar<std::uint64_t>(is);
+    if (node_count >= std::uint64_t{1} << 31) {  // upsert's limit (hnsw.hpp)
+        throw std::runtime_error{"ann::serialize: implausible node count"};
+    }
     index.nodes_.reserve(node_count);
     for (std::uint64_t i = 0; i < node_count; ++i) {
         HnswIndex::Node node;
@@ -127,6 +132,10 @@ HnswIndex load_index(std::istream& is) {
         const std::vector<float> point = read_vector<float>(is);
         if (point.size() != config.dim) {
             throw std::runtime_error{"ann::serialize: node dim mismatch"};
+        }
+        if (!std::all_of(point.begin(), point.end(),
+                         [](float x) { return std::isfinite(x); })) {
+            throw std::runtime_error{"ann::serialize: non-finite vector"};
         }
         index.append_vector(point);
         node.in_degree = read_vector<std::uint32_t>(is);

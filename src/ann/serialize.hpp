@@ -18,7 +18,9 @@ namespace spider::ann {
 void save_index(const HnswIndex& index, std::ostream& os);
 
 /// Reconstructs an index saved by save_index. Throws std::runtime_error on
-/// magic/version mismatch or truncated input.
+/// magic/version mismatch, truncated input, or an index that upsert could
+/// not have built (a non-finite component, 2^31 or more nodes, a dangling
+/// link).
 [[nodiscard]] HnswIndex load_index(std::istream& is);
 
 /// Writes a trained quantizer (config + codebooks).

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "ann/hnsw.hpp"
@@ -99,6 +101,15 @@ TEST(HnswSerialize, RejectsCorruptedInput) {
     const std::string bytes = buffer.str();
     std::stringstream truncated{bytes.substr(0, bytes.size() / 2)};
     EXPECT_THROW(load_index(truncated), std::runtime_error);
+
+    // A NaN in the first node's vector, which starts after the magic and
+    // version (8 bytes), the config (40), entry point (4), max level (8),
+    // empty flag (1), node count (8), label (4) and vector length (8).
+    std::string poisoned = bytes;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(poisoned.data() + 81, &nan, sizeof nan);
+    std::stringstream with_nan{poisoned};
+    EXPECT_THROW(load_index(with_nan), std::runtime_error);
 }
 
 TEST(PqSerialize, RoundTripPreservesCodes) {
