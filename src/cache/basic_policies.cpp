@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace spider::cache {
 
@@ -129,62 +130,21 @@ bool LruCache::erase(std::uint32_t id) {
 
 // ---------------------------------------------------------------- LfuCache
 
-LfuCache::LfuCache(std::size_t capacity) : capacity_{capacity} {}
-
-bool LfuCache::contains(std::uint32_t id) const {
-    return entries_.contains(id);
-}
-
-void LfuCache::bump(std::uint32_t id, Entry& entry) {
-    order_.erase({entry.frequency, entry.stamp});
-    ++entry.frequency;
-    entry.stamp = ++access_counter_;
-    order_.emplace(std::pair{entry.frequency, entry.stamp}, id);
-}
+LfuCache::LfuCache(std::size_t capacity) : OrderedCache{capacity} {}
 
 bool LfuCache::touch(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    bump(id, it->second);
+    LfuEntry* entry = find(id);
+    if (entry == nullptr) return false;
+    rekey(id, *entry, {entry->key.first + 1, ++access_counter_});
     return true;
-}
-
-std::optional<std::uint32_t> LfuCache::evict_lfu() {
-    if (order_.empty()) return std::nullopt;
-    const auto victim_it = order_.begin();
-    const std::uint32_t victim = victim_it->second;
-    order_.erase(victim_it);
-    entries_.erase(victim);
-    return victim;
 }
 
 std::optional<std::uint32_t> LfuCache::admit(std::uint32_t id) {
-    if (capacity_ == 0 || entries_.contains(id)) return std::nullopt;
+    if (!admissible(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
-    if (entries_.size() >= capacity_) evicted = evict_lfu();
-    const Entry entry{1, ++access_counter_};
-    entries_.emplace(id, entry);
-    order_.emplace(std::pair{entry.frequency, entry.stamp}, id);
+    if (full()) evicted = pop_min();
+    insert(id, {.key = {1, ++access_counter_}});
     return evicted;
-}
-
-void LfuCache::set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    // Shrink follows the exact (frequency, stamp) eviction order.
-    while (entries_.size() > capacity_) evict_lfu();
-}
-
-std::optional<std::uint32_t> LfuCache::peek_victim() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.begin()->second;
-}
-
-bool LfuCache::erase(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    order_.erase({it->second.frequency, it->second.stamp});
-    entries_.erase(it);
-    return true;
 }
 
 // --------------------------------------------------------------- FifoCache
@@ -343,160 +303,106 @@ std::optional<std::uint32_t> RandomCache::random_resident() {
 
 // --------------------------------------------------------------- GdsfCache
 
-GdsfCache::GdsfCache(std::size_t capacity) : capacity_{capacity} {}
+GdsfCache::GdsfCache(std::size_t capacity) : OrderedCache{capacity} {}
 
-bool GdsfCache::contains(std::uint32_t id) const {
-    return entries_.contains(id);
-}
-
-void GdsfCache::rekey(std::uint32_t id, Entry& entry, double priority) {
-    order_.erase({entry.priority, entry.stamp});
-    entry.priority = priority;
-    entry.stamp = ++stamp_counter_;
-    order_.emplace(std::pair{entry.priority, entry.stamp}, id);
+void GdsfCache::reprioritize(std::uint32_t id, GdsfEntry& entry) {
+    rekey(id, entry,
+          {clock_ + static_cast<double>(entry.frequency) * entry.cost,
+           ++stamp_counter_});
 }
 
 bool GdsfCache::touch(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    Entry& e = it->second;
-    ++e.frequency;
-    rekey(id, e, clock_ + static_cast<double>(e.frequency) * e.cost);
+    GdsfEntry* entry = find(id);
+    if (entry == nullptr) return false;
+    ++entry->frequency;
+    reprioritize(id, *entry);
     return true;
 }
 
-std::optional<std::uint32_t> GdsfCache::evict_min() {
-    if (order_.empty()) return std::nullopt;
-    const auto victim_it = order_.begin();
-    const std::uint32_t victim = victim_it->second;
+std::uint32_t GdsfCache::pop_min() {
     // The clock inflates to the evicted priority: future insertions start
     // above everything that has already aged out.
-    clock_ = std::max(clock_, victim_it->first.first);
-    order_.erase(victim_it);
-    entries_.erase(victim);
-    return victim;
+    clock_ = std::max(clock_, min_key().first);
+    return OrderedCache::pop_min();
 }
 
 std::optional<std::uint32_t> GdsfCache::admit(std::uint32_t id) {
-    if (capacity_ == 0 || entries_.contains(id)) return std::nullopt;
+    if (!admissible(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
-    if (entries_.size() >= capacity_) evicted = evict_min();
-    const double cost =
-        (pending_valid_ && pending_id_ == id) ? pending_cost_ : 1.0;
-    pending_valid_ = false;
-    Entry entry{.frequency = 1,
-                .cost = cost,
-                .priority = clock_ + cost,
-                .stamp = ++stamp_counter_};
-    order_.emplace(std::pair{entry.priority, entry.stamp}, id);
-    entries_.emplace(id, entry);
+    if (full()) evicted = pop_min();
+    const double cost = take_pending(id).value_or(1.0);
+    insert(id, {.key = {clock_ + cost, ++stamp_counter_},
+                .frequency = 1,
+                .cost = cost});
     return evicted;
-}
-
-void GdsfCache::set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    while (entries_.size() > capacity_) evict_min();
 }
 
 void GdsfCache::note_score(std::uint32_t id, double score) {
     const double cost = std::max(score, 0.0);
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) {
-        pending_id_ = id;
-        pending_cost_ = cost;
-        pending_valid_ = true;
+    GdsfEntry* entry = find(id);
+    if (entry == nullptr) {
+        note_pending(id, cost);
         return;
     }
-    Entry& e = it->second;
-    e.cost = cost;
-    rekey(id, e, clock_ + static_cast<double>(e.frequency) * e.cost);
-}
-
-std::optional<std::uint32_t> GdsfCache::peek_victim() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.begin()->second;
-}
-
-bool GdsfCache::erase(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    order_.erase({it->second.priority, it->second.stamp});
-    entries_.erase(it);
-    return true;
+    entry->cost = cost;
+    reprioritize(id, *entry);
 }
 
 // ---------------------------------------------------------- CostAwareCache
 
-CostAwareCache::CostAwareCache(std::size_t capacity) : capacity_{capacity} {}
-
-bool CostAwareCache::contains(std::uint32_t id) const {
-    return entries_.contains(id);
-}
-
-void CostAwareCache::rekey(std::uint32_t id, Entry& entry, double cost) {
-    order_.erase({entry.cost, entry.stamp});
-    entry.cost = cost;
-    entry.stamp = ++access_counter_;
-    order_.emplace(std::pair{entry.cost, entry.stamp}, id);
-}
+CostAwareCache::CostAwareCache(std::size_t capacity)
+    : OrderedCache{capacity} {}
 
 bool CostAwareCache::touch(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    rekey(id, it->second, it->second.cost);  // recency bump within the bucket
+    CostEntry* entry = find(id);
+    if (entry == nullptr) return false;
+    // Recency bump within the cost bucket.
+    rekey(id, *entry, {entry->key.first, ++access_counter_});
     return true;
 }
 
-std::optional<std::uint32_t> CostAwareCache::evict_min() {
-    if (order_.empty()) return std::nullopt;
-    const auto victim_it = order_.begin();
-    const std::uint32_t victim = victim_it->second;
-    order_.erase(victim_it);
-    entries_.erase(victim);
-    return victim;
-}
-
 std::optional<std::uint32_t> CostAwareCache::admit(std::uint32_t id) {
-    if (capacity_ == 0 || entries_.contains(id)) return std::nullopt;
+    if (!admissible(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
-    if (entries_.size() >= capacity_) evicted = evict_min();
-    const double cost =
-        (pending_valid_ && pending_id_ == id) ? pending_cost_ : 1.0;
-    pending_valid_ = false;
-    const Entry entry{.cost = cost, .stamp = ++access_counter_};
-    order_.emplace(std::pair{entry.cost, entry.stamp}, id);
-    entries_.emplace(id, entry);
+    if (full()) evicted = pop_min();
+    insert(id, {.key = {take_pending(id).value_or(1.0), ++access_counter_}});
     return evicted;
-}
-
-void CostAwareCache::set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    while (entries_.size() > capacity_) evict_min();
 }
 
 void CostAwareCache::note_score(std::uint32_t id, double score) {
     const double cost = std::max(score, 0.0);
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) {
-        pending_id_ = id;
-        pending_cost_ = cost;
-        pending_valid_ = true;
+    CostEntry* entry = find(id);
+    if (entry == nullptr) {
+        note_pending(id, cost);
         return;
     }
-    rekey(id, it->second, cost);
+    rekey(id, *entry, {cost, ++access_counter_});
 }
 
-std::optional<std::uint32_t> CostAwareCache::peek_victim() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.begin()->second;
+// ----------------------------------------------------------- SemanticCache
+
+SemanticCache::SemanticCache(std::size_t capacity) : OrderedCache{capacity} {}
+
+std::optional<std::uint32_t> SemanticCache::admit(std::uint32_t id) {
+    if (!admissible(id)) return std::nullopt;
+    const double score = take_pending(id).value_or(
+        -std::numeric_limits<double>::infinity());
+    std::optional<std::uint32_t> evicted;
+    if (full()) {
+        if (score <= min_key().first) return std::nullopt;  // Case 2
+        evicted = pop_min();                                 // Case 4
+    }
+    insert(id, {.key = {score, id}});
+    return evicted;
 }
 
-bool CostAwareCache::erase(std::uint32_t id) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return false;
-    order_.erase({it->second.cost, it->second.stamp});
-    entries_.erase(it);
-    return true;
+void SemanticCache::note_score(std::uint32_t id, double score) {
+    SemanticEntry* entry = find(id);
+    if (entry == nullptr) {
+        note_pending(id, score);
+        return;
+    }
+    rekey(id, *entry, {score, id});
 }
 
 }  // namespace spider::cache

@@ -13,17 +13,16 @@
 // TwoLayerSemanticCache (semantic_cache.hpp), which keeps it in step with
 // every insert and with the victim lists that evict_oldest() returns.
 //
-// Since PR 9 the replacement order is policy-pluggable (DESIGN.md §13):
-// the default PolicyKind::kFifo keeps the exact legacy FIFO code path
-// (bit-identical), while kLru/kLfu/kGdsf/kCost delegate victim selection
-// to an EvictionCache. The insertion-order list is kept in every mode —
-// it is the section's iteration/snapshot order — only the *victim choice*
-// changes. A delegated policy's access signal is the re-offer stream:
-// update() on an already-resident key counts as a touch (the read path is
-// seqlock wait-free and cannot take recency bookkeeping).
+// Victim choice is the section's policy (DESIGN.md §13): the default
+// PolicyKind::kFifo is the paper's FIFO (FifoCache); kLru/kLfu/kGdsf/kCost
+// are selectable. Iteration and snapshots follow insertion order (each
+// entry's `seq`) under every policy. A policy's access signal is the
+// re-offer stream: update() on an already-resident key counts as a touch
+// (the read path is seqlock wait-free and cannot take recency
+// bookkeeping).
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -57,9 +56,9 @@ public:
     std::optional<std::uint32_t> update(std::uint32_t key,
                                         std::span<const std::uint32_t> neighbors);
 
-    /// Access signal for a delegated policy: the key was re-offered as a
-    /// batch's high-degree candidate while already resident. No-op (and
-    /// bit-identical) under the default FIFO policy. Returns residency.
+    /// Access signal for the policy: the key was re-offered as a batch's
+    /// high-degree candidate while already resident (FIFO ignores it).
+    /// Returns residency.
     bool touch_key(std::uint32_t key);
 
     /// Neighbor list of a resident node (empty span if absent) — used by
@@ -67,14 +66,20 @@ public:
     [[nodiscard]] std::span<const std::uint32_t> neighbors_of(
         std::uint32_t key) const;
 
-    /// Newest resident key accepted by `pred` (degraded-mode surrogate
-    /// search; newest first, as recency correlates with score freshness).
+    /// Newest resident key (highest `seq`) accepted by `pred` (degraded-
+    /// mode surrogate search; newest first, as recency correlates with
+    /// score freshness).
     template <typename Pred>
     [[nodiscard]] std::optional<std::uint32_t> find_key_if(Pred pred) const {
-        for (auto it = fifo_.rbegin(); it != fifo_.rend(); ++it) {
-            if (pred(*it)) return *it;
+        std::optional<std::uint32_t> best;
+        std::uint64_t best_seq = 0;  // every seq is >= 1
+        for (const auto& [key, entry] : entries_) {
+            if (entry.seq > best_seq && pred(key)) {
+                best = key;
+                best_seq = entry.seq;
+            }
         }
-        return std::nullopt;
+        return best;
     }
 
     /// Monotonic insert-generation counter of a resident key (nullopt when
@@ -84,37 +89,38 @@ public:
     /// the generation it published for no longer exists (ABA-safe).
     [[nodiscard]] std::optional<std::uint64_t> seq_of(std::uint32_t key) const;
 
-    /// Visits every resident key, insertion order (oldest first) — view-
-    /// rebuild helper. Order is insertion-based in every policy mode.
+    /// Visits every resident key in insertion order (ascending `seq`,
+    /// oldest first) — view-rebuild and snapshot helper.
     template <typename Fn>
     void for_each_key(Fn fn) const {
-        for (std::uint32_t key : fifo_) fn(key);
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+        order.reserve(entries_.size());
+        for (const auto& [key, entry] : entries_) {
+            order.emplace_back(entry.seq, key);
+        }
+        std::sort(order.begin(), order.end());
+        for (const auto& [seq, key] : order) fn(key);
     }
 
-    /// Evicts the next victim — the FIFO head by default, the delegated
-    /// policy's choice otherwise — and returns it with its neighbor list,
-    /// so the two-layer cache can drop the victim from its neighbor index.
+    /// Evicts the policy's next victim (the FIFO head by default) and
+    /// returns it with its neighbor list, so the two-layer cache can drop
+    /// the victim from its neighbor index.
     std::optional<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
     evict_oldest();
 
-    /// Shrink evicts in the active policy's victim order.
+    /// Shrink evicts in the policy's victim order.
     void set_capacity(std::size_t capacity);
 
 private:
     struct Entry {
         std::vector<std::uint32_t> neighbors;
-        std::list<std::uint32_t>::iterator fifo_pos;
         std::uint64_t seq = 0;
     };
 
-    void evict_key(std::uint32_t victim);
-    [[nodiscard]] std::optional<std::uint32_t> next_victim() const;
-
     std::size_t capacity_;
     PolicyKind kind_;
-    std::unique_ptr<EvictionCache> policy_;  // null in kFifo mode
+    std::unique_ptr<EvictionCache> policy_;
     std::uint64_t next_seq_ = 0;
-    std::list<std::uint32_t> fifo_;  // front = oldest key
     std::unordered_map<std::uint32_t, Entry> entries_;
 };
 

@@ -6,14 +6,12 @@ namespace spider::cache {
 
 ImportanceCache::ImportanceCache(std::size_t capacity, PolicyKind kind)
     : capacity_{capacity}, kind_{kind} {
-    if (kind_ != PolicyKind::kSemantic) {
-        if (!importance_policy_ok(kind_)) {
-            throw std::invalid_argument{
-                "ImportanceCache: policy '" + to_string(kind_) +
-                "' not eligible for the importance section"};
-        }
-        policy_ = make_section_policy(kind_, capacity_);
+    if (!importance_policy_ok(kind_)) {
+        throw std::invalid_argument{"ImportanceCache: policy '" +
+                                    to_string(kind_) +
+                                    "' not eligible for the importance section"};
     }
+    policy_ = make_section_policy(kind_, capacity_);
 }
 
 bool ImportanceCache::contains(std::uint32_t id) const {
@@ -21,8 +19,11 @@ bool ImportanceCache::contains(std::uint32_t id) const {
 }
 
 std::optional<double> ImportanceCache::min_score() const {
-    if (order_.empty()) return std::nullopt;
-    return order_.begin()->first;
+    std::optional<double> min;
+    for (const auto& [id, score] : scores_) {
+        if (!min || score < *min) min = score;
+    }
+    return min;
 }
 
 std::optional<double> ImportanceCache::score_of(std::uint32_t id) const {
@@ -31,43 +32,15 @@ std::optional<double> ImportanceCache::score_of(std::uint32_t id) const {
     return it->second;
 }
 
-void ImportanceCache::evict_min() {
-    const auto victim = order_.begin();
-    scores_.erase(victim->second);
-    order_.erase(victim);
-}
-
-void ImportanceCache::erase_tracking(std::uint32_t id) {
-    const auto it = scores_.find(id);
-    if (it == scores_.end()) return;
-    order_.erase({it->second, id});
-    scores_.erase(it);
-}
-
 ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
                                                            double score) {
     AdmitResult result;
     if (capacity_ == 0 || scores_.contains(id)) return result;
-    if (policy_) {
-        // Delegated admission: the policy replaces its own victim; the
-        // score still reaches cost-sensitive policies via note_score.
-        policy_->note_score(id, score);
-        result.evicted = policy_->admit(id);
-        if (!policy_->contains(id)) return result;  // policy rejected
-        if (result.evicted) erase_tracking(*result.evicted);
-        scores_.emplace(id, score);
-        order_.emplace(score, id);
-        result.admitted = true;
-        return result;
-    }
-    if (scores_.size() >= capacity_) {
-        const auto min_it = order_.begin();
-        if (score <= min_it->first) return result;  // does not beat the min
-        result.evicted = min_it->second;
-        evict_min();
-    }
+    policy_->note_score(id, score);
+    result.evicted = policy_->admit(id);
+    if (!policy_->contains(id)) return result;  // policy rejected
+    if (result.evicted) scores_.erase(*result.evicted);
     scores_.emplace(id, score);
-    order_.emplace(score, id);
     result.admitted = true;
     return result;
 }
@@ -75,40 +48,22 @@ ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
 bool ImportanceCache::update_score(std::uint32_t id, double score) {
     const auto it = scores_.find(id);
     if (it == scores_.end()) return false;
-    order_.erase({it->second, id});
     it->second = score;
-    order_.emplace(score, id);
-    if (policy_) {
-        // The score refresh is the section's only write-path traffic for
-        // resident ids — it doubles as the policy access signal.
-        policy_->touch(id);
-        policy_->note_score(id, score);
-    }
+    policy_->touch(id);
+    policy_->note_score(id, score);
     return true;
 }
 
 bool ImportanceCache::erase(std::uint32_t id) {
-    const auto it = scores_.find(id);
-    if (it == scores_.end()) return false;
-    order_.erase({it->second, id});
-    scores_.erase(it);
-    if (policy_) policy_->erase(id);
+    if (scores_.erase(id) == 0) return false;
+    policy_->erase(id);
     return true;
 }
 
 void ImportanceCache::set_capacity(std::size_t capacity) {
     capacity_ = capacity;
-    if (policy_) {
-        while (scores_.size() > capacity_) {
-            const auto victim = policy_->peek_victim();
-            if (!victim) break;  // defensive: policy and tracking diverged
-            policy_->erase(*victim);
-            erase_tracking(*victim);
-        }
-        policy_->set_capacity(capacity_);
-        return;
-    }
-    while (scores_.size() > capacity_) evict_min();
+    while (scores_.size() > capacity_) erase(*policy_->peek_victim());
+    policy_->set_capacity(capacity_);
 }
 
 }  // namespace spider::cache

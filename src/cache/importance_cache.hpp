@@ -1,25 +1,23 @@
 #pragma once
 
 // Importance Cache (paper Section 4.2, part 1): retains the samples with
-// the highest global importance scores. A min-ordered structure exposes the
+// the highest global importance scores. A min-ordered index exposes the
 // lowest resident score so the admission rule of Algorithm 1 — "insert on
 // miss only if the new sample outscores the current minimum" — is O(log n).
 // Also serves as the cache layer of SHADE and of iCache's H-section, which
 // share the score-driven eviction idea (with their own scoring functions).
 //
-// Since PR 9 the section is policy-pluggable (DESIGN.md §13): the default
-// PolicyKind::kSemantic keeps the exact legacy min-heap code path
-// (bit-identical), while kLru/kLfu/kFifo/kGdsf/kCost delegate admission
-// and victim selection to an EvictionCache. Under a delegated policy the
-// score-gated rejection of Algorithm 1 (Case 2) does not apply — the
-// policy always replaces its own victim — and the write-path score
-// refresh doubles as the policy's access signal (the read path is
+// The section keeps each resident's score and hands admission and victim
+// choice to its policy (DESIGN.md §13). The default PolicyKind::kSemantic
+// is the paper's rule above (SemanticCache); kLru/kLfu/kFifo/kGdsf/kCost
+// always admit, replacing their own victim — the score-gated rejection
+// of Algorithm 1 (Case 2) is the semantic policy's alone. The write-path
+// score refresh doubles as the policy's access signal (the read path is
 // seqlock wait-free and cannot take recency bookkeeping).
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -38,17 +36,16 @@ public:
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
     [[nodiscard]] bool contains(std::uint32_t id) const;
 
-    /// Lowest resident score (the min-heap top in the paper's Figure 9).
-    /// Under a delegated policy this is informational only — the
-    /// admission gate is the policy's.
+    /// Lowest resident score — the semantic policy's admission threshold,
+    /// informational under the others. An O(n) scan, for tests.
     [[nodiscard]] std::optional<double> min_score() const;
     [[nodiscard]] std::optional<double> score_of(std::uint32_t id) const;
 
-    /// Admission rule. kSemantic: inserts when there is free space, or
-    /// when `score` beats the current minimum (which is then evicted).
-    /// Delegated policies: the policy decides — LRU/LFU/FIFO/GDSF/cost
-    /// always admit, evicting their own victim when full. Returns the
-    /// evicted id, if any; `admitted` reports whether the insert happened.
+    /// Admission rule: the policy decides. kSemantic inserts when there
+    /// is free space, or when `score` beats the current minimum (which is
+    /// then evicted); the other policies always admit, evicting their own
+    /// victim when full. Returns the evicted id, if any; `admitted`
+    /// reports whether the insert happened.
     struct AdmitResult {
         bool admitted = false;
         std::optional<std::uint32_t> evicted;
@@ -56,11 +53,11 @@ public:
     AdmitResult admit_scored(std::uint32_t id, double score);
 
     /// Re-keys a resident sample after its global score changed (scores
-    /// drift every epoch as the model trains). Under a delegated policy
-    /// this is also the access signal: the served stream reaches the
-    /// section exactly here, so the policy's touch() rides along. Returns
-    /// whether the id was resident (false = no-op), so callers mirroring
-    /// residency into a read-optimized view know whether anything changed.
+    /// drift every epoch as the model trains). This is also the policy's
+    /// access signal: the served stream reaches the section exactly here,
+    /// so the policy's touch() rides along. Returns whether the id was
+    /// resident (false = no-op), so callers mirroring residency into a
+    /// read-optimized view know whether anything changed.
     bool update_score(std::uint32_t id, double score);
 
     /// Visits every resident (id, score) pair in unspecified order — used
@@ -70,31 +67,30 @@ public:
         for (const auto& [id, score] : scores_) fn(id, score);
     }
 
-    /// Highest-scored resident accepted by `pred`, scanning from the top
-    /// of the score order (degraded-mode surrogate search: serve the most
-    /// important compatible sample we still hold). Nullopt when none.
+    /// Highest (score, id) resident accepted by `pred` (degraded-mode
+    /// surrogate search: serve the most important compatible sample we
+    /// still hold). Nullopt when none.
     template <typename Pred>
     [[nodiscard]] std::optional<std::uint32_t> find_best_if(Pred pred) const {
-        for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-            if (pred(it->second)) return it->second;
+        std::optional<std::pair<double, std::uint32_t>> best;
+        for (const auto& [id, score] : scores_) {
+            const std::pair candidate{score, id};
+            if ((!best || candidate > *best) && pred(id)) best = candidate;
         }
-        return std::nullopt;
+        if (!best) return std::nullopt;
+        return best->second;
     }
 
     bool erase(std::uint32_t id);
-    /// Shrink evicts in the active policy's victim order (kSemantic:
-    /// ascending score; delegated: the policy's peek_victim order).
+    /// Shrink evicts in the policy's victim order (kSemantic: ascending
+    /// (score, id)).
     void set_capacity(std::size_t capacity);
 
 private:
-    void evict_min();
-    void erase_tracking(std::uint32_t id);
-
     std::size_t capacity_;
     PolicyKind kind_;
-    std::unique_ptr<EvictionCache> policy_;  // null in kSemantic mode
+    std::unique_ptr<EvictionCache> policy_;
     std::unordered_map<std::uint32_t, double> scores_;
-    std::set<std::pair<double, std::uint32_t>> order_;  // ascending score
 };
 
 }  // namespace spider::cache

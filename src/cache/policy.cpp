@@ -85,6 +85,7 @@ std::unique_ptr<EvictionCache> make_section_policy(PolicyKind kind,
         case PolicyKind::kCost:
             return std::make_unique<CostAwareCache>(capacity);
         case PolicyKind::kSemantic:
+            return std::make_unique<SemanticCache>(capacity);
         case PolicyKind::kRandom:
         case PolicyKind::kStatic:
             break;

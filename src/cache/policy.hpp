@@ -6,11 +6,11 @@
 // Capacity is in items: the paper sizes caches as a percentage of the
 // dataset, and samples within a dataset share one serialized size.
 //
-// Since PR 9 this seam also backs the *sections* of the two-layer
-// semantic cache (DESIGN.md §13): ImportanceCache and HomophilyCache can
-// delegate victim selection to any EvictionCache, so the paper's Table
-// baselines and SpiderCache run on one code path and policies are
-// swappable per section (and per server tenant).
+// The same seam backs the *sections* of the two-layer semantic cache
+// (DESIGN.md §13): ImportanceCache and HomophilyCache hand admission and
+// victim selection to an EvictionCache — the paper's score gate and FIFO
+// included — so the Table baselines and SpiderCache run on one code path
+// and policies are swappable per section (and per server tenant).
 
 #include <cstdint>
 #include <memory>
@@ -87,8 +87,8 @@ std::string to_string(PolicyKind kind);
 [[nodiscard]] bool homophily_policy_ok(PolicyKind kind);
 
 /// Policy choice for the two sections of a TwoLayerSemanticCache. The
-/// defaults reproduce the paper exactly (and bit-identically to pre-seam
-/// builds): score-ordered importance admission + FIFO homophily.
+/// defaults are the paper's: score-gated importance admission (the
+/// SemanticCache policy) + FIFO homophily.
 struct SectionPolicies {
     PolicyKind importance = PolicyKind::kSemantic;
     PolicyKind homophily = PolicyKind::kFifo;
@@ -105,10 +105,9 @@ struct SectionPolicies {
 /// policy (see importance_policy_ok / homophily_policy_ok).
 void validate(const SectionPolicies& policies);
 
-/// Instantiates a section-eligible policy (kLru/kLfu/kFifo/kGdsf/kCost)
-/// at `capacity`. Throws std::invalid_argument for the rest — kSemantic
-/// and the default kFifo homophily path are built into the sections
-/// themselves.
+/// Instantiates a section-eligible policy (kSemantic/kLru/kLfu/kFifo/
+/// kGdsf/kCost) at `capacity`. Throws std::invalid_argument for kRandom
+/// and kStatic, which stay baseline-frontend-only.
 std::unique_ptr<EvictionCache> make_section_policy(PolicyKind kind,
                                                    std::size_t capacity);
 

@@ -59,9 +59,9 @@ TEST(PolicyKindNames, SectionEligibility) {
 }
 
 TEST(PolicyKindNames, MakeSectionPolicy) {
-    const PolicyKind ok[] = {PolicyKind::kLru, PolicyKind::kLfu,
-                             PolicyKind::kFifo, PolicyKind::kGdsf,
-                             PolicyKind::kCost};
+    const PolicyKind ok[] = {PolicyKind::kSemantic, PolicyKind::kLru,
+                             PolicyKind::kLfu,      PolicyKind::kFifo,
+                             PolicyKind::kGdsf,     PolicyKind::kCost};
     for (const PolicyKind kind : ok) {
         const std::unique_ptr<EvictionCache> policy =
             make_section_policy(kind, 4);
@@ -69,8 +69,8 @@ TEST(PolicyKindNames, MakeSectionPolicy) {
         EXPECT_EQ(policy->capacity(), 4U);
         EXPECT_EQ(policy->size(), 0U);
     }
-    EXPECT_THROW(make_section_policy(PolicyKind::kSemantic, 4),
-                 std::invalid_argument);
+    EXPECT_EQ(make_section_policy(PolicyKind::kSemantic, 4)->name(),
+              "Semantic");
     EXPECT_THROW(make_section_policy(PolicyKind::kRandom, 4),
                  std::invalid_argument);
     EXPECT_THROW(make_section_policy(PolicyKind::kStatic, 4),
@@ -210,6 +210,55 @@ TEST(ShrinkOrder, CostAwareEvictsLowestScoreFirst) {
     cache.note_score(3, 0.5);
     cache.admit(3);
     expect_shrink_follows_victim_order(cache, {2, 3, 1});
+}
+
+TEST(ShrinkOrder, SemanticEvictsLowestScoreThenLowestId) {
+    SemanticCache cache{4};
+    const std::pair<std::uint32_t, double> admits[] = {
+        {7, 0.5}, {3, 0.5}, {9, 0.1}, {1, 0.9}};
+    for (const auto& [id, score] : admits) {
+        cache.note_score(id, score);
+        ASSERT_EQ(cache.admit(id), std::nullopt);
+    }
+    cache.touch(9);  // touches carry no signal
+    // (0.1, 9), then the 0.5 tie on the lower id, then (0.9, 1).
+    expect_shrink_follows_victim_order(cache, {9, 3, 7, 1});
+}
+
+TEST(SemanticCachePolicy, FullCacheAdmitsOnlyAboveTheMinimum) {
+    SemanticCache cache{2};
+    cache.note_score(5, 0.4);
+    EXPECT_EQ(cache.admit(5), std::nullopt);
+    cache.note_score(2, 0.4);
+    EXPECT_EQ(cache.admit(2), std::nullopt);  // free space: no gate
+    ASSERT_EQ(cache.size(), 2U);
+    // Equal scores: the lower id is the victim.
+    EXPECT_EQ(cache.peek_victim(), 2U);
+
+    // Case 2: a score at or below the minimum is rejected, nothing moves.
+    cache.note_score(8, 0.4);
+    EXPECT_EQ(cache.admit(8), std::nullopt);
+    cache.note_score(8, 0.1);
+    EXPECT_EQ(cache.admit(8), std::nullopt);
+    EXPECT_FALSE(cache.contains(8));
+    EXPECT_TRUE(cache.contains(2));
+    EXPECT_TRUE(cache.contains(5));
+    // Without a noted score a full cache rejects too.
+    EXPECT_EQ(cache.admit(8), std::nullopt);
+    EXPECT_FALSE(cache.contains(8));
+
+    // Case 4: a higher score evicts the minimum, ties broken on the id.
+    cache.note_score(8, 0.6);
+    EXPECT_EQ(cache.admit(8), 2U);
+    EXPECT_TRUE(cache.contains(8));
+    EXPECT_EQ(cache.peek_victim(), 5U);
+
+    // A resident's re-noted score re-keys it: 5 outranks 8 now.
+    cache.note_score(5, 0.7);
+    EXPECT_EQ(cache.peek_victim(), 8U);
+    cache.note_score(4, 0.65);
+    EXPECT_EQ(cache.admit(4), 8U);
+    EXPECT_EQ(cache.peek_victim(), 4U);
 }
 
 TEST(ShrinkOrder, GrowNeverEvicts) {
