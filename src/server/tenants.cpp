@@ -74,10 +74,6 @@ bool TenantCacheManager::probe(std::uint8_t t, std::uint32_t id) const {
 bool TenantCacheManager::admit_after_fetch(std::uint8_t t, std::uint32_t id,
                                            double score) {
     Tenant& tenant = *tenants_.at(t);
-    {
-        const std::lock_guard lock{tenant.score_mu};
-        tenant.scores[id] = score;
-    }
     const auto result = tenant.cache.on_miss_fetched(id, score);
     if (result.admitted) {
         tenant.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -87,19 +83,7 @@ bool TenantCacheManager::admit_after_fetch(std::uint8_t t, std::uint32_t id,
 
 void TenantCacheManager::put_score(std::uint8_t t, std::uint32_t id,
                                    double score) {
-    Tenant& tenant = *tenants_.at(t);
-    {
-        const std::lock_guard lock{tenant.score_mu};
-        tenant.scores[id] = score;
-    }
-    tenant.cache.update_importance_score(id, score);
-}
-
-double TenantCacheManager::score_of(std::uint8_t t, std::uint32_t id) const {
-    const Tenant& tenant = *tenants_.at(t);
-    const std::lock_guard lock{tenant.score_mu};
-    const auto it = tenant.scores.find(id);
-    return it == tenant.scores.end() ? 0.0 : it->second;
+    tenants_.at(t)->cache.update_importance_score(id, score);
 }
 
 std::optional<std::uint32_t> TenantCacheManager::put_neighbors(

@@ -11,18 +11,15 @@
 //
 // Thread safety: lookups/probes ride each cache's seqlock wait-free read
 // path; admissions and score updates take only that tenant's shard locks.
-// The per-tenant score table carries its own mutex. The manager itself
-// adds no cross-tenant synchronization — the isolation stress test hammers
-// all tenants from concurrent threads.
+// The manager itself adds no cross-tenant synchronization — the isolation
+// stress test hammers all tenants from concurrent threads.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/semantic_cache.hpp"
@@ -67,15 +64,15 @@ public:
     /// Residency probe without counter side effects.
     [[nodiscard]] bool probe(std::uint8_t t, std::uint32_t id) const;
 
-    /// Miss path, after the backing fetch succeeded: records `score` in
-    /// the tenant's score table and applies the Case 2/4 admission rule.
-    /// Returns whether the id was admitted.
+    /// Miss path, after the backing fetch succeeded: applies the tenant
+    /// section's admission rule (Case 2/4 under the default policy) to
+    /// `id` at `score`. Returns whether the id was admitted.
     bool admit_after_fetch(std::uint8_t t, std::uint32_t id, double score);
 
-    /// Score refresh (scores drift every epoch): updates the table and
-    /// re-keys the entry if resident.
+    /// Score refresh (scores drift every epoch): re-keys the entry if
+    /// resident. A non-resident id's score is not kept; the next miss
+    /// carries it again.
     void put_score(std::uint8_t t, std::uint32_t id, double score);
-    [[nodiscard]] double score_of(std::uint8_t t, std::uint32_t id) const;
 
     /// Homophily offer (Algorithm 1 line 22) for tenant `t`.
     std::optional<std::uint32_t> put_neighbors(
@@ -113,8 +110,6 @@ private:
                     lockfree, policies} {}
 
         cache::TwoLayerSemanticCache cache;
-        mutable std::mutex score_mu;
-        std::unordered_map<std::uint32_t, double> scores;
         std::atomic<std::uint64_t> hits_importance{0};
         std::atomic<std::uint64_t> hits_homophily{0};
         std::atomic<std::uint64_t> misses{0};

@@ -383,7 +383,15 @@ TEST_F(ServerWire, PutScoreAndTenantStat) {
     Client c = connect();
     (void)c.get(0, 1, 1.0);
     c.put_score(0, 1, 9.0);
-    EXPECT_DOUBLE_EQ(server_->tenants().score_of(0, 1), 9.0);
+    // The refresh re-keyed the resident entry in tenant 0's cache.
+    const auto frozen = server_->tenants().cache(0).freeze();
+    std::vector<std::pair<std::uint32_t, double>> residents;
+    for (const auto& shard : frozen.shards) {
+        residents.insert(residents.end(), shard.importance.begin(),
+                         shard.importance.end());
+    }
+    EXPECT_EQ(residents,
+              (std::vector<std::pair<std::uint32_t, double>>{{1, 9.0}}));
 
     const TenantStatReply t = c.tenant_stat(0);
     EXPECT_EQ(t.capacity, 100U);
