@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cache/semantic_cache.hpp"
 #include "core/prefetch.hpp"
 #include "util/rng.hpp"
@@ -276,9 +277,8 @@ int main(int argc, char** argv) {
                        1)});
     sweep.print(std::cout);
 
-    json << "\n  ],\n  \"hardware_threads\": "
-         << std::thread::hardware_concurrency()
-         << ",\n  \"ops_per_thread\": " << ops_per_thread << "\n}\n";
+    json << "\n  ],\n  \"ops_per_thread\": " << ops_per_thread << ",\n"
+         << bench::provenance_json() << "\n}\n";
     std::ofstream out_file{out_path};
     out_file << json.str();
     if (!out_file) {

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "util/table.hpp"
@@ -248,10 +249,9 @@ int main(int argc, char** argv) {
               << stats.bytes_out << "\n";
     server.stop();
 
-    json << "\n  ],\n  \"hardware_threads\": "
-         << std::thread::hardware_concurrency()
-         << ",\n  \"seconds_per_cell\": " << seconds
-         << ",\n  \"cache_items\": " << kIdSpace << "\n}\n";
+    json << "\n  ],\n  \"seconds_per_cell\": " << seconds
+         << ",\n  \"cache_items\": " << kIdSpace << ",\n"
+         << spider::bench::provenance_json() << "\n}\n";
     if (!out_path.empty()) {
         std::ofstream out{out_path};
         out << json.str();

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cache/policy.hpp"
 #include "data/presets.hpp"
 #include "metrics/metrics.hpp"
@@ -234,7 +235,7 @@ int main(int argc, char** argv) {
              << "\", \"tail_hit_ratio\": " << stats.tail_hit << "}";
     }
     ptable.print(std::cout);
-    json << "\n  ]\n}\n";
+    json << "\n  ],\n" << spider::bench::provenance_json() << "\n}\n";
 
     if (!out_path.empty()) {
         std::ofstream out{out_path};

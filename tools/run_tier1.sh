@@ -45,8 +45,8 @@
 #   tools/run_tier1.sh --policy   # additionally: ThreadSanitizer pass over
 #                                 # the eviction-policy seam and the shadow
 #                                 # tuner (DESIGN.md §13): policy parity
-#                                 # traces, the golden traces of every
-#                                 # section-policy pair, live
+#                                 # traces, the section suites, the golden
+#                                 # traces of every section-policy pair, live
 #                                 # set_section_policies switches, tuner
 #                                 # determinism, and the ghost-replay-vs-
 #                                 # live-traffic race check, in build-tsan/
@@ -205,8 +205,10 @@ fi
 
 if [[ "$run_policy" == 1 ]]; then
   echo "== opt-in: ThreadSanitizer pass over the policy seam + tuner =="
-  # The oracle parity traces and shrink audits, the CacheGolden traces of
-  # every section-policy pair, live policy switches on a sharded cache,
+  # The oracle parity traces and shrink audits, the score-gate policy,
+  # the ImportanceCache/HomophilyCache section suites (every section runs
+  # through its policy), the CacheGolden traces of every section-policy
+  # pair, live policy switches on a sharded cache,
   # tuner hysteresis/determinism, and the ShadowConcurrent
   # scenario (workers hammering the live cache while the driver thread
   # replays into the ghosts), plus the sharded-cache concurrency suite the
@@ -221,7 +223,7 @@ if [[ "$run_policy" == 1 ]]; then
     --target policy_test shadow_tuner_test cache_concurrency_test \
              cache_test shard_parity_test sim_golden_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent|CacheGolden'
+    -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SemanticCachePolicy|ImportanceCache|HomophilyCache|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent|CacheGolden'
 fi
 
 if [[ "$run_chaos" == 1 ]]; then
