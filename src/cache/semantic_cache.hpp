@@ -90,8 +90,7 @@ public:
     ///                        (off = every read takes the shard mutex).
     /// @param policies        Per-section eviction policies (DESIGN.md
     ///                        §13). The default — semantic importance +
-    ///                        FIFO homophily — takes the exact legacy code
-    ///                        path, bit-identical to pre-seam builds.
+    ///                        FIFO homophily — is the paper's Algorithm 1.
     TwoLayerSemanticCache(std::size_t total_capacity, double imp_ratio,
                           std::size_t shards = 1, bool lockfree_reads = true,
                           SectionPolicies policies = {});

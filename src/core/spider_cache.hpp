@@ -88,8 +88,7 @@ struct SpiderCacheConfig {
     bool cache_lockfree_reads = true;
 
     /// Per-section eviction policies (DESIGN.md §13). The default —
-    /// semantic importance + FIFO homophily — is the paper's Algorithm 1
-    /// and takes the exact legacy code path.
+    /// semantic importance + FIFO homophily — is the paper's Algorithm 1.
     cache::SectionPolicies cache_policies;
 
     std::uint64_t seed = 2025;

@@ -114,8 +114,7 @@ struct SimConfig {
 
     /// Per-section eviction policies of the kSpider* two-layer cache
     /// ([policy] INI block, DESIGN.md §13). The defaults — semantic
-    /// importance + FIFO homophily — are the paper's Algorithm 1 and take
-    /// the exact legacy code path.
+    /// importance + FIFO homophily — are the paper's Algorithm 1.
     cache::SectionPolicies policy{};
 
     /// Online shadow-cache tuner ([tuner] INI block, DESIGN.md §13):
