@@ -144,6 +144,8 @@ private:
 // lookups with probes, miss admissions, homophily updates, score updates
 // and ratio changes. Row i renders op i: its outcome plus both section
 // sizes. The inputs are regenerated from the seed, so rows carry none.
+// With `tied_scores`, every score is one of eight values (k / 8), so
+// equal scores meet at the semantic gate and in victim order.
 //
 // Row formats (sizes = importance_size homophily_size):
 //   L <I|H|M> <served_id> <probe> <sizes>    lookup + probe
@@ -163,11 +165,17 @@ std::string id_or_dash(const std::optional<std::uint32_t>& id) {
 /// Replays the op mix against `cache`, one row per op. Without
 /// `score_updates` the score-update band goes to homophily updates.
 template <typename Cache>
-std::vector<std::string> replay_ops(Cache& cache, bool score_updates) {
+std::vector<std::string> replay_ops(Cache& cache, bool score_updates,
+                                    bool tied_scores = false) {
     constexpr std::uint32_t kIdSpace = 500;
     const double homophily_until = score_updates ? 0.93 : 0.98;
     std::vector<std::string> rows;
     util::Rng rng{0xBEEFULL};
+    const auto score = [&rng, tied_scores] {
+        return tied_scores
+                   ? static_cast<double>(rng.uniform_index(8)) / 8.0
+                   : rng.uniform();
+    };
     const double ratios[] = {0.3, 0.5, 0.7, 0.9};
     for (int op = 0; op < kTraceOps; ++op) {
         const auto id =
@@ -179,7 +187,7 @@ std::vector<std::string> replay_ops(Cache& cache, bool score_updates) {
             row = row_of("L %c %u %d", "IHM"[static_cast<int>(hit.kind)],
                          hit.served_id, cache.probe(id) ? 1 : 0);
         } else if (roll < 0.85) {
-            const auto result = cache.on_miss_fetched(id, rng.uniform());
+            const auto result = cache.on_miss_fetched(id, score());
             row = row_of("A %d ", result.admitted ? 1 : 0) +
                   id_or_dash(result.evicted);
         } else if (roll < homophily_until) {
@@ -191,7 +199,7 @@ std::vector<std::string> replay_ops(Cache& cache, bool score_updates) {
             }
             row = "U " + id_or_dash(cache.update_homophily(id, neighbors));
         } else if (roll < 0.98) {
-            cache.update_importance_score(id, rng.uniform());
+            cache.update_importance_score(id, score());
             row = "S";
         } else {
             cache.set_imp_ratio(ratios[rng.uniform_index(4)]);
@@ -242,8 +250,9 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, SeqlockParity,
 // ------------------------------------------------------------------------
 // Part 2: golden decision traces. The op mix with score updates (rows 0 to
 // kTraceOps - 1), then a freeze() summary, compared against the files under
-// tests/golden/: full traces for shards 1, 4 and 8, and one hash per
-// section-policy pair, each under both read modes. On a mismatch the test
+// tests/golden/: full traces for shards 1, 4 and 8, tie-heavy traces for
+// shards 1 and 4, and one hash per section-policy pair, each under both
+// read modes. On a mismatch the test
 // names the first divergent row and writes the full actual file next to
 // the test binary as `<name>.actual.txt`.
 
@@ -289,10 +298,11 @@ void append_freeze(const TwoLayerSemanticCache& cache,
 }
 
 std::vector<std::string> golden_trace(std::size_t shards, bool lockfree_reads,
-                                      SectionPolicies policies = {}) {
+                                      SectionPolicies policies = {},
+                                      bool tied_scores = false) {
     TwoLayerSemanticCache cache{kTraceCapacity, kTraceRatio, shards,
                                 lockfree_reads, policies};
-    auto rows = replay_ops(cache, /*score_updates=*/true);
+    auto rows = replay_ops(cache, /*score_updates=*/true, tied_scores);
     append_freeze(cache, rows);
     return rows;
 }
@@ -303,6 +313,19 @@ TEST(CacheGolden, TracesAtOneFourAndEightShards) {
             expect_golden("cache_trace_s" + std::to_string(shards) + ".txt",
                           golden_trace(shards, lockfree),
                           lockfree ? "lock-free reads" : "locked reads");
+        }
+    }
+}
+
+TEST(CacheGolden, TiedScoresAtOneAndFourShards) {
+    // The same mix with scores from eight values: the gate must reject a
+    // score equal to the shard minimum, and victims tie on the lower id.
+    for (const std::size_t shards : {1U, 4U}) {
+        for (const bool lockfree : {true, false}) {
+            expect_golden(
+                "cache_trace_ties_s" + std::to_string(shards) + ".txt",
+                golden_trace(shards, lockfree, {}, /*tied_scores=*/true),
+                lockfree ? "lock-free reads" : "locked reads");
         }
     }
 }
