@@ -146,7 +146,8 @@ std::vector<std::uint32_t> SsdTier::dump_residency() const {
     const std::lock_guard lock{mu_};
     std::vector<std::uint32_t> ids;
     ids.reserve(lru_.size());
-    lru_.for_each_lru_first([&ids](std::uint32_t id) { ids.push_back(id); });
+    lru_.for_each_victim_first(
+        [&ids](std::uint32_t id) { ids.push_back(id); });
     return ids;
 }
 

@@ -1,20 +1,24 @@
 // Unit and property tests for the util substrate: RNG determinism and
 // statistical sanity, alias sampling correctness, Welford stats, slope
 // estimation, sliding windows, Savitzky-Golay filtering, the thread pool,
-// and the table formatter.
+// the table formatter, and the IdMap hash table against an
+// std::unordered_map oracle.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "util/id_map.hpp"
 #include "util/rng.hpp"
 #include "util/sg_filter.hpp"
 #include "util/stats.hpp"
@@ -541,6 +545,139 @@ TEST(Table, CsvOutput) {
 TEST(Table, FmtPrecision) {
     EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(Table::fmt(2.0, 0), "2");
+}
+
+// ------------------------------------------------------------------ IdMap
+
+using Oracle = std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>;
+
+/// Every oracle entry is in `map` with the same value, and nothing else.
+void expect_same_entries(const IdMap<std::vector<std::uint32_t>>& map,
+                         const Oracle& oracle, int op) {
+    ASSERT_EQ(map.size(), oracle.size()) << "op " << op;
+    std::size_t visited = 0;
+    map.for_each([&](std::uint32_t id, const std::vector<std::uint32_t>& v) {
+        ++visited;
+        const auto it = oracle.find(id);
+        ASSERT_NE(it, oracle.end()) << "op " << op << " id " << id;
+        EXPECT_EQ(v, it->second) << "op " << op << " id " << id;
+    });
+    EXPECT_EQ(visited, oracle.size()) << "op " << op;
+}
+
+TEST(IdMap, MatchesOracleOver20kOps) {
+    // Ids: a dense space, the two extremes 0 and 0xFFFFFFFF, and a run of
+    // ids whose Fibonacci hash has its top ten bits set. At every table
+    // size up to 1024 buckets (the trace holds at most 326 ids) the run
+    // shares the last bucket, so its probe run wraps past the end and a
+    // backward shift crosses it.
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t id = 0; id < 300; ++id) ids.push_back(id);
+    ids.push_back(0xFFFFFFFFU);
+    for (std::uint32_t id = 1; ids.size() < 325; ++id) {
+        if (((std::uint64_t{id} * 0x9E3779B97F4A7C15ULL) >> 54) == 1023) {
+            ids.push_back(id);
+        }
+    }
+    IdMap<std::vector<std::uint32_t>> map;
+    Oracle oracle;
+    Rng rng{2025};
+    for (int op = 0; op < 20'000; ++op) {
+        // Half the draws come from the last 25 ids: extremes and the run.
+        const std::uint32_t id =
+            rng.uniform_index(2) == 0
+                ? ids[300 + rng.uniform_index(25)]
+                : ids[rng.uniform_index(ids.size())];
+        const std::vector<std::uint32_t> value{
+            id, static_cast<std::uint32_t>(op)};
+        const std::uint64_t roll = rng.uniform_index(1000);
+        if (roll < 300) {
+            const auto [mapped, inserted] = map.try_emplace(id, value);
+            const auto [it, oracle_inserted] = oracle.try_emplace(id, value);
+            EXPECT_EQ(inserted, oracle_inserted) << "op " << op;
+            EXPECT_EQ(*mapped, it->second) << "op " << op;
+        } else if (roll < 450) {
+            map[id].push_back(id);
+            oracle[id].push_back(id);
+        } else if (roll < 700) {
+            const auto* found = map.find(id);
+            const auto it = oracle.find(id);
+            ASSERT_EQ(found != nullptr, it != oracle.end()) << "op " << op;
+            if (found != nullptr) {
+                EXPECT_EQ(*found, it->second) << "op " << op;
+            }
+            EXPECT_EQ(map.contains(id), it != oracle.end()) << "op " << op;
+        } else if (roll < 850) {
+            EXPECT_EQ(map.erase(id), oracle.erase(id) == 1) << "op " << op;
+        } else if (roll < 997) {
+            const auto taken = map.take(id);
+            const auto it = oracle.find(id);
+            ASSERT_EQ(taken.has_value(), it != oracle.end()) << "op " << op;
+            if (taken) {
+                EXPECT_EQ(*taken, it->second) << "op " << op;
+                oracle.erase(it);
+            }
+        } else {
+            // Clear, then reuse the kept buckets straight away.
+            map.clear();
+            oracle.clear();
+            EXPECT_TRUE(map.empty());
+            EXPECT_FALSE(map.contains(id));
+        }
+        ASSERT_EQ(map.size(), oracle.size()) << "op " << op;
+        if (op % 500 == 0) expect_same_entries(map, oracle, op);
+    }
+    expect_same_entries(map, oracle, 20'000);
+    // The extremes are ordinary keys.
+    map.clear();
+    map[0] = {1};
+    map[0xFFFFFFFFU] = {2};
+    EXPECT_EQ(map.size(), 2U);
+    EXPECT_EQ(*map.find(0), std::vector<std::uint32_t>{1});
+    EXPECT_EQ(*map.find(0xFFFFFFFFU), std::vector<std::uint32_t>{2});
+    EXPECT_EQ(map.take(0xFFFFFFFFU), std::vector<std::uint32_t>{2});
+    EXPECT_FALSE(map.contains(0xFFFFFFFFU));
+    EXPECT_TRUE(map.contains(0));
+}
+
+TEST(IdMap, CrowdedTraceMatchesOracle) {
+    // Thousands of entries over 20k ids: the table grows and rehashes,
+    // and erases and shrinks delete from a crowded one. The size moves
+    // between 1024 and 8192 like a cache's capacity.
+    IdMap<std::vector<std::uint32_t>> map;
+    Oracle oracle;
+    Rng rng{102};
+    std::size_t limit = 4096;
+    for (int op = 0; op < 20'000; ++op) {
+        const auto id = static_cast<std::uint32_t>(rng.uniform_index(20'000));
+        const std::uint64_t roll = rng.uniform_index(100);
+        if (roll < 40) {
+            const auto* found = map.find(id);
+            const auto it = oracle.find(id);
+            ASSERT_EQ(found != nullptr, it != oracle.end()) << "op " << op;
+            if (found != nullptr) {
+                EXPECT_EQ(*found, it->second) << "op " << op;
+            }
+        } else if (roll < 82) {
+            if (oracle.size() < limit) {
+                const std::vector<std::uint32_t> value{id};
+                EXPECT_EQ(map.try_emplace(id, value).second,
+                          oracle.try_emplace(id, value).second)
+                    << "op " << op;
+            }
+        } else if (roll < 94) {
+            EXPECT_EQ(map.erase(id), oracle.erase(id) == 1) << "op " << op;
+        } else {
+            limit = 1024 + rng.uniform_index(8192 - 1024 + 1);
+            while (oracle.size() > limit) {
+                const std::uint32_t victim = oracle.begin()->first;
+                oracle.erase(oracle.begin());
+                ASSERT_TRUE(map.erase(victim)) << "op " << op;
+            }
+        }
+        ASSERT_EQ(map.size(), oracle.size()) << "op " << op;
+    }
+    expect_same_entries(map, oracle, 20'000);
 }
 
 }  // namespace
