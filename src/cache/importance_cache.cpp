@@ -20,16 +20,16 @@ bool ImportanceCache::contains(std::uint32_t id) const {
 
 std::optional<double> ImportanceCache::min_score() const {
     std::optional<double> min;
-    for (const auto& [id, score] : scores_) {
+    scores_.for_each([&min](std::uint32_t, double score) {
         if (!min || score < *min) min = score;
-    }
+    });
     return min;
 }
 
 std::optional<double> ImportanceCache::score_of(std::uint32_t id) const {
-    const auto it = scores_.find(id);
-    if (it == scores_.end()) return std::nullopt;
-    return it->second;
+    const double* score = scores_.find(id);
+    if (score == nullptr) return std::nullopt;
+    return *score;
 }
 
 ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
@@ -40,22 +40,22 @@ ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
     result.evicted = policy_->admit(id);
     if (!policy_->contains(id)) return result;  // policy rejected
     if (result.evicted) scores_.erase(*result.evicted);
-    scores_.emplace(id, score);
+    scores_.try_emplace(id, score);
     result.admitted = true;
     return result;
 }
 
 bool ImportanceCache::update_score(std::uint32_t id, double score) {
-    const auto it = scores_.find(id);
-    if (it == scores_.end()) return false;
-    it->second = score;
+    double* resident = scores_.find(id);
+    if (resident == nullptr) return false;
+    *resident = score;
     policy_->touch(id);
     policy_->note_score(id, score);
     return true;
 }
 
 bool ImportanceCache::erase(std::uint32_t id) {
-    if (scores_.erase(id) == 0) return false;
+    if (!scores_.erase(id)) return false;
     policy_->erase(id);
     return true;
 }
