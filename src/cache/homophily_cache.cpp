@@ -23,7 +23,7 @@ std::optional<std::uint32_t> HomophilyCache::update(
     if (capacity_ == 0 || entries_.contains(key)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
     if (entries_.size() >= capacity_) evicted = evict_oldest()->first;
-    entries_.emplace(
+    entries_.try_emplace(
         key, Entry{std::vector<std::uint32_t>(neighbors.begin(),
                                               neighbors.end()),
                    ++next_seq_});
@@ -36,9 +36,9 @@ bool HomophilyCache::touch_key(std::uint32_t key) {
 }
 
 std::optional<std::uint64_t> HomophilyCache::seq_of(std::uint32_t key) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second.seq;
+    const Entry* entry = entries_.find(key);
+    if (entry == nullptr) return std::nullopt;
+    return entry->seq;
 }
 
 std::optional<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
@@ -46,15 +46,15 @@ HomophilyCache::evict_oldest() {
     const auto victim = policy_->peek_victim();
     if (!victim) return std::nullopt;
     policy_->erase(*victim);
-    auto node = entries_.extract(*victim);
-    return std::make_pair(*victim, std::move(node.mapped().neighbors));
+    return std::make_pair(*victim,
+                          std::move(entries_.take(*victim)->neighbors));
 }
 
 std::span<const std::uint32_t> HomophilyCache::neighbors_of(
     std::uint32_t key) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return {};
-    return it->second.neighbors;
+    const Entry* entry = entries_.find(key);
+    if (entry == nullptr) return {};
+    return entry->neighbors;
 }
 
 void HomophilyCache::set_capacity(std::size_t capacity) {

@@ -27,10 +27,10 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/policy.hpp"
+#include "util/id_map.hpp"
 
 namespace spider::cache {
 
@@ -73,12 +73,12 @@ public:
     [[nodiscard]] std::optional<std::uint32_t> find_key_if(Pred pred) const {
         std::optional<std::uint32_t> best;
         std::uint64_t best_seq = 0;  // every seq is >= 1
-        for (const auto& [key, entry] : entries_) {
+        entries_.for_each([&](std::uint32_t key, const Entry& entry) {
             if (entry.seq > best_seq && pred(key)) {
                 best = key;
                 best_seq = entry.seq;
             }
-        }
+        });
         return best;
     }
 
@@ -95,9 +95,9 @@ public:
     void for_each_key(Fn fn) const {
         std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
         order.reserve(entries_.size());
-        for (const auto& [key, entry] : entries_) {
+        entries_.for_each([&order](std::uint32_t key, const Entry& entry) {
             order.emplace_back(entry.seq, key);
-        }
+        });
         std::sort(order.begin(), order.end());
         for (const auto& [seq, key] : order) fn(key);
     }
@@ -121,7 +121,7 @@ private:
     PolicyKind kind_;
     std::unique_ptr<EvictionCache> policy_;
     std::uint64_t next_seq_ = 0;
-    std::unordered_map<std::uint32_t, Entry> entries_;
+    util::IdMap<Entry> entries_;
 };
 
 }  // namespace spider::cache
