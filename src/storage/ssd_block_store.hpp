@@ -54,10 +54,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/file.hpp"
+#include "util/id_map.hpp"
 
 namespace spider::storage {
 
@@ -176,7 +176,7 @@ private:
         std::uint32_t frame_len = 0;
     };
 
-    using RecordIndex = std::unordered_map<std::uint32_t, RecordRef>;
+    using RecordIndex = util::IdMap<RecordRef>;
 
     struct Segment {
         std::uint64_t seq = 0;
@@ -234,7 +234,7 @@ private:
     /// seq -> segment, ordered so rbegin() is newest.
     std::map<std::uint64_t, Segment> segments_;
     /// id -> seq of the segment holding its live version.
-    std::unordered_map<std::uint32_t, std::uint64_t> owner_;
+    util::IdMap<std::uint64_t> owner_;
     std::size_t total_bytes_ = 0;
     std::size_t sealed_bytes_ = 0;
     SsdBlockStoreStats stats_;
