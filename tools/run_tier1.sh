@@ -57,9 +57,11 @@
 #                                 # recovery, bloom-guarded fence-slice
 #                                 # reads, whole-segment GC, injected
 #                                 # write faults, the tier/WAL restore
-#                                 # drift fixes, the golden segment/log
-#                                 # bytes, and the flat-table LRU the
-#                                 # tier indexes with, in build-asan/
+#                                 # drift fixes, the WAL fold, the golden
+#                                 # segment/log bytes, the IdMap table
+#                                 # every id index uses (DESIGN.md §13.1)
+#                                 # and the LRU/FIFO node slab over it,
+#                                 # in build-asan/
 #   tools/run_tier1.sh --chaos    # additionally: ThreadSanitizer build of
 #                                 # the chaos/soak harness (DESIGN.md §12)
 #                                 # plus the WAL / warm-restart / weather
@@ -253,10 +255,12 @@ if [[ "$run_ssd" == 1 ]]; then
   # fence boundaries, GC, kill -9 payload durability, flush/seal/WAL
   # writes under injected short-write/ENOSPC/EIO faults, and the
   # residency/WAL drift regressions (restore-streamed evictions,
-  # disabled-tier misses), the golden segment/log/snapshot bytes, and
-  # the LRU's flat table (index links, probing, backward-shift deletes)
-  # against its oracle, in trace replays and in the LRU + block SSD + WAL
-  # golden run().
+  # disabled-tier misses), the WAL fold (which replays through the LRU,
+  # the FIFO and IdMap), the golden segment/log/snapshot bytes, IdMap
+  # (probing, wrap-around backward-shift deletes, clear-then-reuse)
+  # against an std::unordered_map oracle, and the LRU/FIFO node slab
+  # (index links, free list) against its oracles, in trace replays and
+  # in the LRU + block SSD + WAL golden run().
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSPIDER_ASAN=ON \
@@ -264,9 +268,9 @@ if [[ "$run_ssd" == 1 ]]; then
     -DSPIDER_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j "$jobs" \
     --target file_test ssd_block_store_test ssd_tier_test wal_test \
-             cache_test policy_test trace_test sim_golden_test
+             cache_test policy_test trace_test sim_golden_test util_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'StorageFile|SsdBlockStore|SsdTier|WalTest|WalFault|Lru|PolicyParity|SsdBlockStoreGolden|WalGolden'
+    -R 'StorageFile|SsdBlockStore|SsdTier|WalTest|WalFault|Lru|PolicyParity|SsdBlockStoreGolden|WalGolden|IdMap'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
