@@ -1,8 +1,22 @@
 #include "cache/importance_cache.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace spider::cache {
+
+namespace {
+
+// No victim order can hold a NaN: the policy would lose the entry and a
+// shrink would spin on it.
+void require_ordered(double score, const char* where) {
+    if (std::isnan(score)) {
+        throw std::invalid_argument{std::string{"ImportanceCache::"} + where +
+                                    ": score is NaN"};
+    }
+}
+
+}  // namespace
 
 ImportanceCache::ImportanceCache(std::size_t capacity, PolicyKind kind)
     : capacity_{capacity}, kind_{kind} {
@@ -34,6 +48,7 @@ std::optional<double> ImportanceCache::score_of(std::uint32_t id) const {
 
 ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
                                                            double score) {
+    require_ordered(score, "admit_scored");
     AdmitResult result;
     if (capacity_ == 0 || scores_.contains(id)) return result;
     policy_->note_score(id, score);
@@ -46,6 +61,7 @@ ImportanceCache::AdmitResult ImportanceCache::admit_scored(std::uint32_t id,
 }
 
 bool ImportanceCache::update_score(std::uint32_t id, double score) {
+    require_ordered(score, "update_score");
     double* resident = scores_.find(id);
     if (resident == nullptr) return false;
     *resident = score;

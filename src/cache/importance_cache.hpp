@@ -45,7 +45,8 @@ public:
     /// is free space, or when `score` beats the current minimum (which is
     /// then evicted); the other policies always admit, evicting their own
     /// victim when full. Returns the evicted id, if any; `admitted`
-    /// reports whether the insert happened.
+    /// reports whether the insert happened. A NaN score throws
+    /// std::invalid_argument and changes nothing.
     struct AdmitResult {
         bool admitted = false;
         std::optional<std::uint32_t> evicted;
@@ -57,7 +58,8 @@ public:
     /// access signal: the served stream reaches the section exactly here,
     /// so the policy's touch() rides along. Returns whether the id was
     /// resident (false = no-op), so callers mirroring residency into a
-    /// read-optimized view know whether anything changed.
+    /// read-optimized view know whether anything changed. A NaN score
+    /// throws std::invalid_argument and changes nothing.
     bool update_score(std::uint32_t id, double score);
 
     /// Visits every resident (id, score) pair in unspecified order — used

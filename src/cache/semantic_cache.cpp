@@ -42,7 +42,7 @@ TwoLayerSemanticCache::TwoLayerSemanticCache(std::size_t total_capacity,
       imp_ratio_{imp_ratio},
       lockfree_reads_{lockfree_reads},
       policies_{policies} {
-    if (imp_ratio <= 0.0 || imp_ratio > 1.0) {
+    if (!(imp_ratio > 0.0 && imp_ratio <= 1.0)) {
         throw std::invalid_argument{
             "TwoLayerSemanticCache: imp_ratio must be in (0, 1]"};
     }
@@ -302,6 +302,10 @@ std::optional<std::uint32_t> TwoLayerSemanticCache::update_homophily(
 }
 
 void TwoLayerSemanticCache::set_imp_ratio(double imp_ratio) {
+    if (std::isnan(imp_ratio)) {
+        throw std::invalid_argument{
+            "TwoLayerSemanticCache::set_imp_ratio: ratio is NaN"};
+    }
     imp_ratio = std::clamp(imp_ratio, kMinImpRatio, 1.0);
     imp_ratio_.store(imp_ratio, std::memory_order_relaxed);
     for (std::size_t s = 0; s < shards_.size(); ++s) {

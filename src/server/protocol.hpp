@@ -58,7 +58,8 @@ enum class Status : std::uint8_t {
     kOk = 0,
     kBadOp = 1,        ///< unknown opcode
     kBadTenant = 2,    ///< tenant byte out of range
-    kBadPayload = 3,   ///< payload too short / inconsistent counts
+    kBadPayload = 3,   ///< payload too short / inconsistent counts, or
+                       ///< a score or ratio that is not finite
     kFrameTooBig = 4,  ///< len > kMaxFrameLen (connection is then closed)
     kShutdown = 5,     ///< server is stopping
 };

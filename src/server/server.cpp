@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -354,7 +355,7 @@ void SpiderServer::process_frame(Conn& conn, const Frame& frame) {
         case Op::kGet: {
             const std::uint32_t id = r.u32();
             const double score = r.f64();
-            if (!r.done()) {
+            if (!r.done() || !std::isfinite(score)) {
                 error_reply(conn, op, Status::kBadPayload);
                 return;
             }
@@ -369,7 +370,7 @@ void SpiderServer::process_frame(Conn& conn, const Frame& frame) {
         case Op::kGetData: {
             const std::uint32_t id = r.u32();
             const double score = r.f64();
-            if (!r.done()) {
+            if (!r.done() || !std::isfinite(score)) {
                 error_reply(conn, op, Status::kBadPayload);
                 return;
             }
@@ -412,12 +413,14 @@ void SpiderServer::process_frame(Conn& conn, const Frame& frame) {
             replies.reserve(n);
             std::vector<std::pair<std::uint32_t, double>> keys;
             keys.reserve(n);
+            bool finite = true;
             for (std::uint16_t i = 0; i < n; ++i) {
                 const std::uint32_t id = r.u32();
                 const double score = r.f64();
+                finite = finite && std::isfinite(score);
                 keys.emplace_back(id, score);
             }
-            if (!r.done()) {
+            if (!r.done() || !finite) {
                 error_reply(conn, op, Status::kBadPayload);
                 return;
             }
@@ -436,7 +439,7 @@ void SpiderServer::process_frame(Conn& conn, const Frame& frame) {
         case Op::kPutScore: {
             const std::uint32_t id = r.u32();
             const double score = r.f64();
-            if (!r.done()) {
+            if (!r.done() || !std::isfinite(score)) {
                 error_reply(conn, op, Status::kBadPayload);
                 return;
             }
@@ -471,7 +474,7 @@ void SpiderServer::process_frame(Conn& conn, const Frame& frame) {
         }
         case Op::kTenantSetRatio: {
             const double ratio = r.f64();
-            if (!r.done()) {
+            if (!r.done() || !std::isfinite(ratio)) {
                 error_reply(conn, op, Status::kBadPayload);
                 return;
             }

@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cache/basic_policies.hpp"
 #include "cache/homophily_cache.hpp"
 #include "cache/importance_cache.hpp"
 #include "cache/semantic_cache.hpp"
+#include "util/rng.hpp"
 
 namespace spider::cache {
 namespace {
@@ -251,6 +257,41 @@ TEST(ImportanceCache, DuplicateAdmitRejected) {
     EXPECT_EQ(cache.score_of(1), 0.5);
 }
 
+// A NaN cannot be ordered: once the policy held one, a shrink spun
+// forever on a victim it had lost. Every NaN is now refused up front, so
+// the section keeps exactly the finite scores it was given.
+TEST(ImportanceCache, NanScoreRejectedAndShrinkFinishes) {
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    ImportanceCache cache{64};
+    std::vector<double> scores(64);
+    util::Rng rng{26};
+    for (std::uint32_t id = 0; id < 64; ++id) {
+        scores[id] = rng.uniform();
+        ASSERT_TRUE(cache.admit_scored(id, scores[id]).admitted);
+    }
+    for (int round = 0; round < 200; ++round) {
+        for (std::uint32_t id = 0; id < 64; ++id) {
+            if (id % 5 == 0) {
+                EXPECT_THROW(cache.update_score(id, kNan),
+                             std::invalid_argument);
+            } else {
+                scores[id] = rng.uniform();
+                ASSERT_TRUE(cache.update_score(id, scores[id]));
+            }
+        }
+    }
+    EXPECT_THROW(cache.admit_scored(100, kNan), std::invalid_argument);
+    EXPECT_FALSE(cache.contains(100));
+    cache.set_capacity(8);
+    ASSERT_EQ(cache.size(), 8U);
+    std::vector<std::pair<double, std::uint32_t>> ranked;
+    for (std::uint32_t id = 0; id < 64; ++id) ranked.emplace_back(scores[id], id);
+    std::sort(ranked.rbegin(), ranked.rend());
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(cache.score_of(ranked[i].second), ranked[i].first);
+    }
+}
+
 // -------------------------------------------------------- Homophily Cache
 // The two-layer cache's neighbor index serves surrogates, so those checks
 // run on a TwoLayerSemanticCache at the minimum ratio: a small cache's
@@ -470,6 +511,9 @@ TEST(SemanticCache, ExclusivityHoldsWhenSharded) {
 TEST(SemanticCache, RejectsBadRatio) {
     EXPECT_THROW((TwoLayerSemanticCache{10, 0.0}), std::invalid_argument);
     EXPECT_THROW((TwoLayerSemanticCache{10, 1.5}), std::invalid_argument);
+    EXPECT_THROW(
+        (TwoLayerSemanticCache{10, std::numeric_limits<double>::quiet_NaN()}),
+        std::invalid_argument);
 }
 
 TEST(SemanticCache, RatioClampedOnUpdate) {
@@ -478,6 +522,13 @@ TEST(SemanticCache, RatioClampedOnUpdate) {
     EXPECT_GT(cache.imp_ratio(), 0.0);
     cache.set_imp_ratio(2.0);
     EXPECT_LE(cache.imp_ratio(), 1.0);
+}
+
+TEST(SemanticCache, NanRatioRejectedOnUpdate) {
+    TwoLayerSemanticCache cache{10, 0.5};
+    EXPECT_THROW(cache.set_imp_ratio(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_EQ(cache.imp_ratio(), 0.5);
 }
 
 }  // namespace

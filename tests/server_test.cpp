@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -514,6 +515,27 @@ TEST_F(ServerWire, TruncatedAndOverlongPayloadsRejected) {
     EXPECT_EQ(static_cast<Status>(replies[frame + 5]), Status::kBadPayload);
     c.ping();
     EXPECT_EQ(c.stats().errors, 2U);
+}
+
+// A NaN score or ratio would reach the cache's ordered victim index (or
+// the partition arithmetic); the server refuses it at the wire and the
+// connection stays usable.
+TEST_F(ServerWire, NonFiniteScoreAndRatioRejected) {
+    start(ServerConfig{.cache_items = 64});
+    Client c = connect();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    (void)c.get(0, 1, 1.0);
+    c.queue_put_score(0, 1, nan);
+    c.queue_tenant_set_ratio(0, nan);
+    c.queue_get(0, 2, std::numeric_limits<double>::infinity());
+    const std::vector<Response> replies = c.flush();
+    ASSERT_EQ(replies.size(), 3U);
+    for (const Response& reply : replies) {
+        EXPECT_EQ(reply.status, Status::kBadPayload);
+    }
+    EXPECT_NEAR(c.tenant_set_ratio(0, 0.25), 0.25, 0.02);
+    EXPECT_EQ(c.tenant_stat(0).imp_size, 1U);
+    EXPECT_EQ(c.stats().errors, 3U);
 }
 
 TEST_F(ServerWire, OversizedFrameRepliesThenCloses) {
