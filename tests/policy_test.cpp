@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -632,6 +633,97 @@ private:
     std::vector<RankedEntry> entries_;
 };
 
+// The paper's score gate: victim = lowest (score, id); an id admitted
+// without a noted score scores -infinity; a full cache admits only a score
+// strictly above the victim's. Written without the (score, id) pair key the
+// production policy orders on: two explicit comparisons instead.
+class OracleSemantic final : public Oracle {
+public:
+    explicit OracleSemantic(std::size_t capacity) : capacity_{capacity} {}
+    [[nodiscard]] std::size_t size() const override {
+        return entries_.size();
+    }
+    [[nodiscard]] bool contains(std::uint32_t id) const override {
+        return index_of(id) != kAbsent;
+    }
+    bool touch(std::uint32_t id) override { return contains(id); }
+    std::optional<std::uint32_t> admit(std::uint32_t id) override {
+        if (capacity_ == 0 || contains(id)) return std::nullopt;
+        double score = -std::numeric_limits<double>::infinity();
+        if (pending_valid_ && pending_id_ == id) score = pending_score_;
+        pending_valid_ = false;
+        std::optional<std::uint32_t> evicted;
+        if (entries_.size() >= capacity_) {
+            if (!(score > entries_[min_index()].score)) return std::nullopt;
+            evicted = remove_at(min_index());
+        }
+        entries_.push_back({id, score});
+        return evicted;
+    }
+    void set_capacity(std::size_t capacity) override {
+        capacity_ = capacity;
+        while (entries_.size() > capacity_) remove_at(min_index());
+    }
+    void note_score(std::uint32_t id, double score) override {
+        const std::size_t i = index_of(id);
+        if (i != kAbsent) {
+            entries_[i].score = score;
+            return;
+        }
+        pending_id_ = id;
+        pending_score_ = score;
+        pending_valid_ = true;
+    }
+    [[nodiscard]] std::optional<std::uint32_t> peek_victim() const override {
+        if (entries_.empty()) return std::nullopt;
+        return entries_[min_index()].id;
+    }
+    bool erase(std::uint32_t id) override {
+        const std::size_t i = index_of(id);
+        if (i == kAbsent) return false;
+        remove_at(i);
+        return true;
+    }
+
+private:
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    struct Scored {
+        std::uint32_t id;
+        double score;
+    };
+
+    [[nodiscard]] std::size_t index_of(std::uint32_t id) const {
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            if (entries_[i].id == id) return i;
+        }
+        return kAbsent;
+    }
+    /// Index of the victim; the entries must not be empty.
+    [[nodiscard]] std::size_t min_index() const {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < entries_.size(); ++i) {
+            const Scored& e = entries_[i];
+            const Scored& b = entries_[best];
+            if (e.score < b.score || (e.score == b.score && e.id < b.id)) {
+                best = i;
+            }
+        }
+        return best;
+    }
+    std::uint32_t remove_at(std::size_t i) {
+        const std::uint32_t id = entries_[i].id;
+        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+        return id;
+    }
+
+    std::size_t capacity_;
+    std::uint32_t pending_id_ = 0;
+    double pending_score_ = 0.0;
+    bool pending_valid_ = false;
+    std::vector<Scored> entries_;
+};
+
 class OracleStatic final : public Oracle {
 public:
     explicit OracleStatic(std::size_t capacity) : capacity_{capacity} {}
@@ -730,6 +822,11 @@ struct TraceShape {
     std::size_t max_capacity = 48;
 };
 
+// Thousands of residents over 20k ids: the policy's containers grow, and
+// erases, re-keys and shrinks work deep inside a crowded victim order.
+constexpr TraceShape kCrowded{
+    .id_space = 20'000, .min_capacity = 1024, .max_capacity = 8192};
+
 void run_parity_trace(EvictionCache& cache, Oracle& oracle,
                       std::uint64_t seed, TraceShape shape = {}) {
     constexpr std::size_t kOps = 20'000;
@@ -772,9 +869,14 @@ TEST(PolicyParity, LruMatchesOracleOver20kOps) {
 }
 
 TEST(PolicyParity, LfuMatchesOracleOver20kOps) {
-    LfuCache cache{24};
-    OracleLfu oracle{24};
-    run_parity_trace(cache, oracle, 202);
+    {
+        LfuCache cache{24};
+        OracleLfu oracle{24};
+        run_parity_trace(cache, oracle, 202);
+    }
+    LfuCache cache{4096};
+    OracleLfu oracle{4096};
+    run_parity_trace(cache, oracle, 203, kCrowded);
 }
 
 TEST(PolicyParity, FifoMatchesOracleOver20kOps) {
@@ -783,25 +885,42 @@ TEST(PolicyParity, FifoMatchesOracleOver20kOps) {
         OracleFifo oracle{24};
         run_parity_trace(cache, oracle, 303);
     }
-    // Thousands of residents over 20k ids: the node slab and its id map
-    // grow, and erases and shrinks free slots in a crowded slab.
     FifoCache cache{4096};
     OracleFifo oracle{4096};
-    run_parity_trace(cache, oracle, 304,
-                     {.id_space = 20'000, .min_capacity = 1024,
-                      .max_capacity = 8192});
+    run_parity_trace(cache, oracle, 304, kCrowded);
 }
 
 TEST(PolicyParity, GdsfMatchesOracleOver20kOps) {
-    GdsfCache cache{24};
-    OracleGdsf oracle{24};
-    run_parity_trace(cache, oracle, 404);
+    {
+        GdsfCache cache{24};
+        OracleGdsf oracle{24};
+        run_parity_trace(cache, oracle, 404);
+    }
+    GdsfCache cache{4096};
+    OracleGdsf oracle{4096};
+    run_parity_trace(cache, oracle, 405, kCrowded);
 }
 
 TEST(PolicyParity, CostAwareMatchesOracleOver20kOps) {
-    CostAwareCache cache{24};
-    OracleCost oracle{24};
-    run_parity_trace(cache, oracle, 505);
+    {
+        CostAwareCache cache{24};
+        OracleCost oracle{24};
+        run_parity_trace(cache, oracle, 505);
+    }
+    CostAwareCache cache{4096};
+    OracleCost oracle{4096};
+    run_parity_trace(cache, oracle, 506, kCrowded);
+}
+
+TEST(PolicyParity, SemanticMatchesOracleOver20kOps) {
+    {
+        SemanticCache cache{24};
+        OracleSemantic oracle{24};
+        run_parity_trace(cache, oracle, 808);
+    }
+    SemanticCache cache{4096};
+    OracleSemantic oracle{4096};
+    run_parity_trace(cache, oracle, 809, kCrowded);
 }
 
 TEST(PolicyParity, StaticMatchesOracleOver20kOps) {
