@@ -82,9 +82,9 @@ bool SlabCache::erase(std::uint32_t id) {
 // ---------------------------------------------------------------- LfuCache
 
 bool LfuCache::touch(std::uint32_t id) {
-    LfuEntry* entry = find(id);
-    if (entry == nullptr) return false;
-    rekey(id, *entry, {entry->key.first + 1, ++access_counter_});
+    Slot* slot = find(id);
+    if (slot == nullptr) return false;
+    rekey(*slot, {key_of(*slot).first + 1, ++access_counter_});
     return true;
 }
 
@@ -92,7 +92,7 @@ std::optional<std::uint32_t> LfuCache::admit(std::uint32_t id) {
     if (!admissible(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
     if (full()) evicted = pop_min();
-    insert(id, {.key = {1, ++access_counter_}});
+    insert(id, {1, ++access_counter_});
     return evicted;
 }
 
@@ -173,17 +173,17 @@ std::optional<std::uint32_t> RandomCache::random_resident() {
 
 // --------------------------------------------------------------- GdsfCache
 
-void GdsfCache::reprioritize(std::uint32_t id, GdsfEntry& entry) {
-    rekey(id, entry,
-          {clock_ + static_cast<double>(entry.frequency) * entry.cost,
-           ++stamp_counter_});
+void GdsfCache::reprioritize(Slot& slot) {
+    rekey(slot, {clock_ + static_cast<double>(slot.extra.frequency) *
+                              slot.extra.cost,
+                 ++stamp_counter_});
 }
 
 bool GdsfCache::touch(std::uint32_t id) {
-    GdsfEntry* entry = find(id);
-    if (entry == nullptr) return false;
-    ++entry->frequency;
-    reprioritize(id, *entry);
+    Slot* slot = find(id);
+    if (slot == nullptr) return false;
+    ++slot->extra.frequency;
+    reprioritize(*slot);
     return true;
 }
 
@@ -199,24 +199,23 @@ std::optional<std::uint32_t> GdsfCache::admit(std::uint32_t id) {
     std::optional<std::uint32_t> evicted;
     if (full()) evicted = pop_min();
     const double cost = std::max(take_pending(id).value_or(1.0), 0.0);
-    insert(id, {.key = {clock_ + cost, ++stamp_counter_},
-                .frequency = 1,
-                .cost = cost});
+    insert(id, {clock_ + cost, ++stamp_counter_},
+           {.frequency = 1, .cost = cost});
     return evicted;
 }
 
-void GdsfCache::rescore(std::uint32_t id, GdsfEntry& entry, double score) {
-    entry.cost = std::max(score, 0.0);
-    reprioritize(id, entry);
+void GdsfCache::rescore(std::uint32_t /*id*/, Slot& slot, double score) {
+    slot.extra.cost = std::max(score, 0.0);
+    reprioritize(slot);
 }
 
 // ---------------------------------------------------------- CostAwareCache
 
 bool CostAwareCache::touch(std::uint32_t id) {
-    CostEntry* entry = find(id);
-    if (entry == nullptr) return false;
+    Slot* slot = find(id);
+    if (slot == nullptr) return false;
     // Recency bump within the cost bucket.
-    rekey(id, *entry, {entry->key.first, ++access_counter_});
+    rekey(*slot, {key_of(*slot).first, ++access_counter_});
     return true;
 }
 
@@ -224,14 +223,14 @@ std::optional<std::uint32_t> CostAwareCache::admit(std::uint32_t id) {
     if (!admissible(id)) return std::nullopt;
     std::optional<std::uint32_t> evicted;
     if (full()) evicted = pop_min();
-    insert(id, {.key = {std::max(take_pending(id).value_or(1.0), 0.0),
-                        ++access_counter_}});
+    insert(id, {std::max(take_pending(id).value_or(1.0), 0.0),
+                ++access_counter_});
     return evicted;
 }
 
-void CostAwareCache::rescore(std::uint32_t id, CostEntry& entry,
+void CostAwareCache::rescore(std::uint32_t /*id*/, Slot& slot,
                              double score) {
-    rekey(id, entry, {std::max(score, 0.0), ++access_counter_});
+    rekey(slot, {std::max(score, 0.0), ++access_counter_});
 }
 
 // ----------------------------------------------------------- SemanticCache
@@ -245,7 +244,7 @@ std::optional<std::uint32_t> SemanticCache::admit(std::uint32_t id) {
         if (score <= min_key().first) return std::nullopt;  // Case 2
         evicted = pop_min();                                 // Case 4
     }
-    insert(id, {.key = {score, id}});
+    insert(id, {score, id});
     return evicted;
 }
 

@@ -6,8 +6,8 @@
 // policies, and the paper's score-gated semantic rule. Every semantic-
 // cache section runs one of them (DESIGN.md §13).
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -96,79 +96,93 @@ public:
 };
 
 /// The ordered core that LFU, GDSF, cost-aware and semantic share: an
-/// id -> entry map, a key -> id ordered map whose first element is the
-/// victim, and the one-slot pending score that note_score() leaves for an
-/// id about to be admitted. `Entry` carries its ordering key as `key`,
-/// plus any per-policy fields; each policy supplies touch() and admit(),
-/// and re-keys entries as its signals arrive.
-template <typename Entry>
+/// implicit 4-ary min-heap of {key, id} in one vector, whose root is the
+/// victim; an id -> slot IdMap, where a slot holds the id's heap position
+/// plus any per-policy fields (`Extra`); and the one-slot pending score
+/// that note_score() leaves for an id about to be admitted. Each key is
+/// stored once, in the heap. Keys are unique (every policy's key ends in
+/// a stamp or the id), so the root is the one victim an ordered map's
+/// begin() would give. Once the heap and the map reach their working size,
+/// no operation allocates. Each policy supplies touch() and admit(), and
+/// re-keys residents as its signals arrive.
+struct NoExtra {};
+
+template <typename Key, typename Extra = NoExtra>
 class OrderedCache : public EvictionCache {
 public:
-    using Key = decltype(Entry::key);
-
-    [[nodiscard]] std::size_t size() const final { return entries_.size(); }
+    [[nodiscard]] std::size_t size() const final { return heap_.size(); }
     [[nodiscard]] std::size_t capacity() const final { return capacity_; }
     [[nodiscard]] bool contains(std::uint32_t id) const final {
-        return entries_.contains(id);
+        return slots_.contains(id);
     }
     /// Shrink pops victims in key order, exactly as admission would.
     void set_capacity(std::size_t capacity) final {
         capacity_ = capacity;
-        while (entries_.size() > capacity_) pop_min();
+        while (heap_.size() > capacity_) pop_min();
     }
     /// A resident is re-scored at once; any other id's score waits in the
     /// one-slot pending note for its admission.
     void note_score(std::uint32_t id, double score) final {
-        if (Entry* entry = entries_.find(id)) {
-            rescore(id, *entry, score);
+        if (Slot* slot = slots_.find(id)) {
+            rescore(id, *slot, score);
         } else {
             pending_.emplace(id, score);
         }
     }
     [[nodiscard]] std::optional<std::uint32_t> peek_victim() const final {
-        if (order_.empty()) return std::nullopt;
-        return order_.begin()->second;
+        if (heap_.empty()) return std::nullopt;
+        return heap_.front().id;
     }
     bool erase(std::uint32_t id) final {
-        const auto entry = entries_.take(id);
-        if (!entry) return false;
-        order_.erase(entry->key);
+        const auto slot = slots_.take(id);
+        if (!slot) return false;
+        remove_at(slot->pos);
         return true;
     }
 
 protected:
+    /// A resident's entry in the id map: its heap position, kept current
+    /// by every move, and the policy's own fields.
+    struct Slot {
+        std::uint32_t pos;
+        [[no_unique_address]] Extra extra;
+    };
+
     explicit OrderedCache(std::size_t capacity) : capacity_{capacity} {}
 
     /// Admission may proceed: capacity is non-zero and `id` not resident.
     [[nodiscard]] bool admissible(std::uint32_t id) const {
-        return capacity_ != 0 && !entries_.contains(id);
+        return capacity_ != 0 && !slots_.contains(id);
     }
-    [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
-    [[nodiscard]] Entry* find(std::uint32_t id) { return entries_.find(id); }
+    [[nodiscard]] bool full() const { return heap_.size() >= capacity_; }
+    [[nodiscard]] Slot* find(std::uint32_t id) { return slots_.find(id); }
+    [[nodiscard]] const Key& key_of(const Slot& slot) const {
+        return heap_[slot.pos].key;
+    }
     /// The victim's key; the cache must not be empty.
-    [[nodiscard]] const Key& min_key() const { return order_.begin()->first; }
+    [[nodiscard]] const Key& min_key() const { return heap_.front().key; }
 
-    void insert(std::uint32_t id, const Entry& entry) {
-        order_.emplace(entry.key, id);
-        entries_.try_emplace(id, entry);
+    /// Adds `id`, which must not be resident.
+    void insert(std::uint32_t id, const Key& key, const Extra& extra = {}) {
+        Slot* slot = slots_.try_emplace(id, Slot{0, extra}).first;
+        heap_.push_back({key, id});
+        settle(heap_.size() - 1, {key, id}, *slot);
     }
-    void rekey(std::uint32_t id, Entry& entry, const Key& key) {
-        order_.erase(entry.key);
-        entry.key = key;
-        order_.emplace(key, id);
+    /// Gives the resident behind `slot` a new key and sifts it in place.
+    void rekey(Slot& slot, const Key& key) {
+        settle(slot.pos, {key, heap_[slot.pos].id}, slot);
     }
     /// Removes and returns the victim; the cache must not be empty. GDSF
     /// overrides it to inflate its clock.
     virtual std::uint32_t pop_min() {
-        const auto victim = order_.begin();
-        const std::uint32_t id = victim->second;
-        order_.erase(victim);
-        entries_.erase(id);
+        const std::uint32_t id = heap_.front().id;
+        slots_.erase(id);
+        remove_at(0);
         return id;
     }
 
     /// Re-keys a resident on a noted score; LFU takes no scores.
-    virtual void rescore(std::uint32_t /*id*/, Entry& /*entry*/,
+    virtual void rescore(std::uint32_t /*id*/, Slot& /*slot*/,
                          double /*score*/) {}
     /// The score last noted for `id` while it was not resident, if the
     /// slot still holds it. Clears the slot either way.
@@ -180,18 +194,66 @@ protected:
     }
 
 private:
+    static constexpr std::size_t kArity = 4;
+
+    struct Node {
+        Key key;
+        std::uint32_t id;
+    };
+
+    /// Moves the node at `from` into `to` and records its new position.
+    void move(std::size_t from, std::size_t to) {
+        heap_[to] = heap_[from];
+        slots_.find(heap_[to].id)->pos = static_cast<std::uint32_t>(to);
+    }
+
+    /// Places `node` (the id behind `slot`) at the hole `pos`, sifting up
+    /// or down as its key says. Keys are unique, so no tie stops a sift.
+    void settle(std::size_t pos, const Node& node, Slot& slot) {
+        const std::size_t start = pos;
+        while (pos > 0) {
+            const std::size_t parent = (pos - 1) / kArity;
+            if (!(node.key < heap_[parent].key)) break;
+            move(parent, pos);
+            pos = parent;
+        }
+        if (pos == start) {
+            const std::size_t n = heap_.size();
+            for (std::size_t first = pos * kArity + 1; first < n;
+                 first = pos * kArity + 1) {
+                std::size_t least = first;
+                const std::size_t end = std::min(first + kArity, n);
+                for (std::size_t c = first + 1; c < end; ++c) {
+                    if (heap_[c].key < heap_[least].key) least = c;
+                }
+                if (!(heap_[least].key < node.key)) break;
+                move(least, pos);
+                pos = least;
+            }
+        }
+        heap_[pos] = node;
+        slot.pos = static_cast<std::uint32_t>(pos);
+    }
+
+    /// Fills the hole at `pos` with the last node; the id that held `pos`
+    /// has already left the map.
+    void remove_at(std::size_t pos) {
+        const Node last = heap_.back();
+        heap_.pop_back();
+        if (pos == heap_.size()) return;
+        settle(pos, last, *slots_.find(last.id));
+    }
+
     std::size_t capacity_;
-    util::IdMap<Entry> entries_;
-    std::map<Key, std::uint32_t> order_;  // begin() is the victim
+    std::vector<Node> heap_;  // heap_[0] is the victim
+    util::IdMap<Slot> slots_;
     std::optional<std::pair<std::uint32_t, double>> pending_;
 };
 
-struct LfuEntry {
-    std::pair<std::uint64_t, std::uint64_t> key;  // (frequency, stamp)
-};
-
-/// Least-frequently-used with LRU tie-break inside a frequency bucket.
-class LfuCache final : public OrderedCache<LfuEntry> {
+/// Least-frequently-used with LRU tie-break inside a frequency bucket:
+/// the key is (frequency, stamp).
+class LfuCache final
+    : public OrderedCache<std::pair<std::uint64_t, std::uint64_t>> {
 public:
     explicit LfuCache(std::size_t capacity) : OrderedCache{capacity} {}
 
@@ -278,8 +340,7 @@ private:
     util::Rng rng_;
 };
 
-struct GdsfEntry {
-    std::pair<double, std::uint64_t> key;  // (priority, stamp of last re-key)
+struct GdsfFields {
     std::uint64_t frequency;
     double cost;
 };
@@ -289,8 +350,9 @@ struct GdsfEntry {
 /// inflates to each victim's priority so long-idle entries age out.
 /// The score arrives via note_score() (importance scores in the semantic
 /// sections); without one, cost defaults to 1 and GDSF degrades to LFU
-/// with aging.
-class GdsfCache final : public OrderedCache<GdsfEntry> {
+/// with aging. The key is (priority, stamp of the last re-key).
+class GdsfCache final
+    : public OrderedCache<std::pair<double, std::uint64_t>, GdsfFields> {
 public:
     explicit GdsfCache(std::size_t capacity) : OrderedCache{capacity} {}
 
@@ -299,22 +361,19 @@ public:
     std::optional<std::uint32_t> admit(std::uint32_t id) override;
 
 private:
-    void rescore(std::uint32_t id, GdsfEntry& entry, double score) override;
-    void reprioritize(std::uint32_t id, GdsfEntry& entry);
+    void rescore(std::uint32_t id, Slot& slot, double score) override;
+    void reprioritize(Slot& slot);
     std::uint32_t pop_min() override;
 
     double clock_ = 0.0;  // inflates to each evicted priority
     std::uint64_t stamp_counter_ = 0;
 };
 
-struct CostEntry {
-    std::pair<double, std::uint64_t> key;  // (cost, access stamp)
-};
-
 /// Cost-aware replacement: evict the lowest-scored resident, breaking
-/// ties least-recently-touched first. Scores arrive via note_score();
-/// unknown scores default to 1.
-class CostAwareCache final : public OrderedCache<CostEntry> {
+/// ties least-recently-touched first; the key is (cost, access stamp).
+/// Scores arrive via note_score(); unknown scores default to 1.
+class CostAwareCache final
+    : public OrderedCache<std::pair<double, std::uint64_t>> {
 public:
     explicit CostAwareCache(std::size_t capacity) : OrderedCache{capacity} {}
 
@@ -323,13 +382,9 @@ public:
     std::optional<std::uint32_t> admit(std::uint32_t id) override;
 
 private:
-    void rescore(std::uint32_t id, CostEntry& entry, double score) override;
+    void rescore(std::uint32_t id, Slot& slot, double score) override;
 
     std::uint64_t access_counter_ = 0;
-};
-
-struct SemanticEntry {
-    std::pair<double, std::uint32_t> key;  // (score, id)
 };
 
 /// The paper's importance rule (§4.2, Algorithm 1) as a policy: the
@@ -338,7 +393,8 @@ struct SemanticEntry {
 /// otherwise admit() rejects it (Case 2). Scores arrive via note_score()
 /// and order as given; an id admitted without one ranks below every
 /// scored resident. Touches carry no signal.
-class SemanticCache final : public OrderedCache<SemanticEntry> {
+class SemanticCache final
+    : public OrderedCache<std::pair<double, std::uint32_t>> {
 public:
     explicit SemanticCache(std::size_t capacity) : OrderedCache{capacity} {}
 
@@ -347,9 +403,8 @@ public:
     std::optional<std::uint32_t> admit(std::uint32_t id) override;
 
 private:
-    void rescore(std::uint32_t id, SemanticEntry& entry,
-                 double score) override {
-        rekey(id, entry, {score, id});
+    void rescore(std::uint32_t id, Slot& slot, double score) override {
+        rekey(slot, {score, id});
     }
 };
 
