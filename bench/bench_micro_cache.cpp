@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the cache policies and the
 // scoring hot path: lookup/admit cycles per policy, the two-layer semantic
-// lookup, importance-score updates, and the Savitzky-Golay smoother.
+// lookup, importance-score updates at three section sizes, and the
+// Savitzky-Golay smoother.
 
 #include <benchmark/benchmark.h>
 
@@ -41,6 +42,33 @@ void BM_LfuAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_LfuAccess);
 
+// The score-sensitive policies take a score with each admission, as the
+// importance section gives them.
+template <typename Cache>
+void scored_access_cycle(Cache& cache, util::Rng& rng) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform_index(kKeyspace));
+    if (!cache.touch(id)) {
+        cache.note_score(id, rng.uniform());
+        benchmark::DoNotOptimize(cache.admit(id));
+    }
+}
+
+void BM_GdsfAccess(benchmark::State& state) {
+    cache::GdsfCache cache{kCapacity};
+    util::Rng rng{6};
+    for (auto _ : state) scored_access_cycle(cache, rng);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GdsfAccess);
+
+void BM_CostAwareAccess(benchmark::State& state) {
+    cache::CostAwareCache cache{kCapacity};
+    util::Rng rng{7};
+    for (auto _ : state) scored_access_cycle(cache, rng);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CostAwareAccess);
+
 void BM_FifoAccess(benchmark::State& state) {
     cache::FifoCache cache{kCapacity};
     util::Rng rng{3};
@@ -62,19 +90,22 @@ void BM_ImportanceAdmit(benchmark::State& state) {
 }
 BENCHMARK(BM_ImportanceAdmit);
 
+// Re-scores a full section of state.range(0) residents: the victim
+// order's depth grows with the count.
 void BM_ImportanceUpdateScore(benchmark::State& state) {
-    cache::ImportanceCache cache{kCapacity};
+    const auto residents = static_cast<std::uint32_t>(state.range(0));
+    cache::ImportanceCache cache{residents};
     util::Rng rng{5};
-    for (std::uint32_t i = 0; i < kCapacity; ++i) {
+    for (std::uint32_t i = 0; i < residents; ++i) {
         cache.admit_scored(i, rng.uniform());
     }
     for (auto _ : state) {
-        const auto id = static_cast<std::uint32_t>(rng.uniform_index(kCapacity));
-        cache.update_score(id, rng.uniform());
+        const auto id = static_cast<std::uint32_t>(rng.uniform_index(residents));
+        benchmark::DoNotOptimize(cache.update_score(id, rng.uniform()));
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ImportanceUpdateScore);
+BENCHMARK(BM_ImportanceUpdateScore)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
 void BM_SemanticLookup(benchmark::State& state) {
     cache::TwoLayerSemanticCache cache{kCapacity, 0.9};
