@@ -49,7 +49,14 @@
 #                                 # traces of every section-policy pair, live
 #                                 # set_section_policies switches, tuner
 #                                 # determinism, and the ghost-replay-vs-
-#                                 # live-traffic race check, in build-tsan/
+#                                 # live-traffic race check, in build-tsan/;
+#                                 # then an AddressSanitizer + UBSan pass
+#                                 # over the ordered core's index arithmetic
+#                                 # (the indexed victim heap, DESIGN.md
+#                                 # §13.1): the policy parity traces and
+#                                 # shrink audits, the importance/semantic
+#                                 # section suites and the CacheGolden
+#                                 # traces, in build-asan/
 #   tools/run_tier1.sh --ssd      # additionally: AddressSanitizer + UBSan
 #                                 # pass over the on-disk block store
 #                                 # (DESIGN.md §14): the storage::File
@@ -226,6 +233,20 @@ if [[ "$run_policy" == 1 ]]; then
              cache_test shard_parity_test sim_golden_test
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
     -R 'PolicyParity|PolicyKindNames|ShrinkOrder|RandomCachePolicy|SemanticCachePolicy|ImportanceCache|HomophilyCache|SectionPolicySwitch|ShadowTuner|ShadowConcurrent|TunerConfig_|Concurrent|CacheGolden'
+
+  echo "== opt-in: ASan + UBSan pass over the ordered eviction core =="
+  # The victim order is an implicit heap addressed by index: an off-by-one
+  # in a sift reads past the vector, which ASan reports even where the
+  # oracle traces happen to agree.
+  cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DSPIDER_ASAN=ON \
+    -DSPIDER_BUILD_BENCH=OFF \
+    -DSPIDER_BUILD_EXAMPLES=OFF
+  cmake --build build-asan -j "$jobs" \
+    --target policy_test cache_test shard_parity_test
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+    -R 'PolicyParity|ShrinkOrder|SemanticCachePolicy|ImportanceCache|SemanticCache\.|CacheGolden'
 fi
 
 if [[ "$run_chaos" == 1 ]]; then
