@@ -25,8 +25,12 @@ void* operator new(std::size_t size) {
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc{};
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise pair an inlined free() with the
+// replaced operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace spider::cache {
 namespace {
