@@ -1,9 +1,12 @@
 #pragma once
 
 // Importance Cache (paper Section 4.2, part 1): retains the samples with
-// the highest global importance scores. A min-ordered index exposes the
-// lowest resident score so the admission rule of Algorithm 1 — "insert on
-// miss only if the new sample outscores the current minimum" — is O(log n).
+// the highest global importance scores. The semantic policy keeps the
+// residents in a min-heap of (score, id) indexed from its id map
+// (DESIGN.md §13.1), so the admission rule of Algorithm 1 — "insert on
+// miss only if the new sample outscores the current minimum" — reads the
+// minimum in O(1), and a replacement or re-score costs O(log n) with no
+// allocation. A NaN score cannot be ordered and is refused.
 // Also serves as the cache layer of SHADE and of iCache's H-section, which
 // share the score-driven eviction idea (with their own scoring functions).
 //
