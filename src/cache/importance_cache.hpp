@@ -60,13 +60,11 @@ public:
     /// drift every epoch as the model trains). This is also the policy's
     /// access signal: the served stream reaches the section exactly here,
     /// so the policy's touch() rides along. Returns whether the id was
-    /// resident (false = no-op), so callers mirroring residency into a
-    /// read-optimized view know whether anything changed. A NaN score
-    /// throws std::invalid_argument and changes nothing.
+    /// resident (false = no-op). A NaN score throws std::invalid_argument
+    /// and changes nothing.
     bool update_score(std::uint32_t id, double score);
 
-    /// Visits every resident (id, score) pair in unspecified order — used
-    /// to rebuild a shard's residency view after a repartition.
+    /// Visits every resident (id, score) pair in unspecified order.
     template <typename Fn>
     void for_each(Fn fn) const { scores_.for_each(fn); }
 
@@ -85,8 +83,10 @@ public:
     }
 
     bool erase(std::uint32_t id);
-    /// Shrink evicts in the policy's victim order (kSemantic: ascending
-    /// (score, id)).
+    /// Evicts the policy's next victim (kSemantic: the lowest (score, id))
+    /// and returns it; nullopt when empty.
+    std::optional<std::uint32_t> evict_victim();
+    /// Shrink evicts in the policy's victim order, as evict_victim() does.
     void set_capacity(std::size_t capacity);
 
 private:

@@ -83,20 +83,6 @@ std::size_t TwoLayerSemanticCache::shard_of(std::uint32_t id) const {
     return mix(id) % shards_.size();
 }
 
-void TwoLayerSemanticCache::rebuild_view_locked(const Shard& shard) const {
-    const ShardResidencyView::WriteSection ws{shard.view};
-    shard.view.clear();
-    shard.importance.for_each([&shard](std::uint32_t id, double score) {
-        shard.view.set_importance(id, score);
-    });
-    shard.homophily.for_each_key(
-        [&shard](std::uint32_t key) { shard.view.set_hom_key(key); });
-    shard.neighbor_index.for_each(
-        [&shard](std::uint32_t neighbor, const auto& keys) {
-            if (!keys.empty()) shard.view.set_surrogate(neighbor, keys.back());
-        });
-}
-
 Lookup TwoLayerSemanticCache::lookup_locked(const Shard& shard,
                                             std::uint32_t id) const {
     const std::lock_guard lock{shard.mu};
@@ -163,7 +149,7 @@ ImportanceCache::AdmitResult TwoLayerSemanticCache::on_miss_fetched(
         if (result.evicted.has_value()) {
             shard.view.clear_importance(*result.evicted);
         }
-        shard.view.set_importance(id, score);
+        shard.view.set_importance(id);
     }
     if (residency_listener_ && result.admitted) {
         if (result.evicted.has_value()) {
@@ -196,9 +182,8 @@ void TwoLayerSemanticCache::update_importance_score(std::uint32_t id,
         }
     }
     const std::lock_guard lock{shard.mu};
+    // A re-score changes no residency: the view is left alone.
     if (shard.importance.update_score(id, score)) {
-        const ShardResidencyView::WriteSection ws{shard.view};
-        shard.view.set_importance(id, score);
         ResidencyRecord record;
         record.op = ResidencyOp::kScoreUpdate;
         record.id = id;
@@ -313,19 +298,24 @@ void TwoLayerSemanticCache::set_imp_ratio(double imp_ratio) {
         const std::size_t capacity = shard_capacity(s);
         const std::size_t imp = imp_items_for(capacity, imp_ratio);
         const std::size_t hom = capacity - imp;
-        // Evictions forced by a shrinking homophily slice must also leave
-        // the neighbor-index slices, which live under other shards' locks
-        // — collect victims first, unindex after releasing.
+        // A shrinking slice evicts; each victim leaves the view in the
+        // same write section. Homophily victims must also leave the
+        // neighbor-index slices, which live under other shards' locks —
+        // collect them first, unindex after releasing.
         std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
             victims;
         {
             const std::lock_guard lock{shard.mu};
+            const ShardResidencyView::WriteSection ws{shard.view};
+            while (shard.importance.size() > imp) {
+                shard.view.clear_importance(*shard.importance.evict_victim());
+            }
             shard.importance.set_capacity(imp);
             while (shard.homophily.size() > hom) {
                 victims.push_back(*shard.homophily.evict_oldest());
+                shard.view.clear_hom_key(victims.back().first);
             }
             shard.homophily.set_capacity(hom);
-            rebuild_view_locked(shard);
         }
         for (const auto& [victim, victim_neighbors] : victims) {
             unindex_evicted(victim, victim_neighbors);
@@ -373,10 +363,8 @@ void TwoLayerSemanticCache::set_section_policies(
             (void)fresh_hom.update(key, neighbors);
         }
         shard.homophily = std::move(fresh_hom);
-        // The neighbor-index slices key off residency, which is unchanged
-        // — only the view needs a rebuild (section scores and surrogate
-        // choices are re-derived from the fresh sections).
-        rebuild_view_locked(shard);
+        // Residency is unchanged, so the neighbor-index slice and the
+        // view already describe the fresh sections.
     }
 }
 

@@ -141,7 +141,9 @@ public:
 
     /// Elastic repartition: resizes both sections of every shard to match
     /// `imp_ratio` of the unchanged total capacity (Eq. 8 output, clamped
-    /// to [kMinImpRatio, 1]). Locks shards one at a time; concurrent
+    /// to [kMinImpRatio, 1]). A shrinking section evicts in its policy's
+    /// victim order, and only those victims leave the residency view, in
+    /// one write section per shard. Locks shards one at a time; concurrent
     /// lookups/admissions stay valid.
     void set_imp_ratio(double imp_ratio);
 
@@ -152,7 +154,8 @@ public:
     /// *reads* stay valid throughout. Callers must quiesce concurrent
     /// writers (the tuner applies at an epoch boundary on the driver
     /// thread). No-op when `policies` equals the active pair. Residency
-    /// is unchanged, so nothing is streamed to the WAL listener.
+    /// is unchanged, so the neighbor index and the residency view are
+    /// left alone and nothing is streamed to the WAL listener.
     void set_section_policies(const SectionPolicies& policies);
 
     /// Degraded-mode surrogate scan (fault-tolerance ladder, DESIGN.md
@@ -189,8 +192,7 @@ public:
         /// Neighbor-index slice: (neighbor id, resident keys newest-last).
         std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
             neighbor_index;
-        /// Residency-view dump (flags != 0 entries), for view<->section
-        /// parity checks.
+        /// Residency-view dump, for view<->section parity checks.
         std::vector<std::pair<std::uint32_t, ShardResidencyView::Probe>> view;
         std::size_t importance_capacity = 0;
         std::size_t homophily_capacity = 0;
@@ -256,7 +258,7 @@ private:
         /// shard). Values are resident homophily keys — possibly in other
         /// shards — newest last.
         util::IdMap<std::vector<std::uint32_t>> neighbor_index;
-        /// Seqlock-versioned id -> {section, score, surrogate} table
+        /// Seqlock-versioned id -> {section flags, surrogate} table
         /// mirroring the three structures above; written under `mu`, read
         /// without it (DESIGN.md §8.4).
         mutable ShardResidencyView view;
@@ -274,9 +276,6 @@ private:
     /// Locked read path (exact legacy semantics). Caller holds no lock.
     [[nodiscard]] Lookup lookup_locked(const Shard& shard,
                                        std::uint32_t id) const;
-    /// Full in-place view rebuild (repartitions, policy switches). Must
-    /// hold `shard.mu`.
-    void rebuild_view_locked(const Shard& shard) const;
 
     /// Forwards a residency change to the listener, if any. Called with
     /// the affected shard's mutex held.

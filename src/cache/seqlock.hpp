@@ -4,10 +4,13 @@
 // path of the sharded TwoLayerSemanticCache.
 //
 // Each shard owns a ShardResidencyView — a compact open-addressed hash
-// table mapping id -> {section flags, importance score, newest surrogate
-// key} — kept in exact sync with the shard's Importance section, Homophily
+// table of two words per slot, {id | section flags, newest surrogate key}
+// — kept in exact sync with the shard's Importance section, Homophily
 // section, and neighbor-index slice by every writer, *under the existing
-// shard mutex*. Readers never take that mutex: they validate an even/odd
+// shard mutex*. Writers update it incrementally: an id's slot appears
+// with its first flag and leaves, by backward-shift deletion, with its
+// last, so every slot holds a resident and the table is sized by live
+// entries. Readers never take that mutex: they validate an even/odd
 // version counter (the seqlock) around a wait-free table probe and retry
 // when a concurrent write section tore the snapshot. After a bounded
 // number of torn reads (kMaxReadAttempts) the caller falls back to the
@@ -24,14 +27,15 @@
 //  * Writers only ever run under the shard mutex, so write sections never
 //    nest or race each other; the RMW increments are for reader ordering,
 //    not writer mutual exclusion.
+//  * Backward shift moves entries, but only inside a write section: a
+//    reader that raced a move fails validation and probes again.
 //  * Tables grow by pointer swap and the old allocations are retired, not
 //    freed, until the view dies: a reader still scanning a superseded
 //    table reads stale-but-allocated memory and its validation fails.
-//    Growth doubles, so retired memory is bounded by ~2x the final table.
-//    The per-epoch elastic rebuild reuses the current allocation in place
-//    (readers that observe the wipe retry), so repartitions allocate
-//    nothing once the table has reached steady-state size.
+//    Growth doubles and happens only when live entries pass 3/4 of the
+//    slots, so retired memory stays below the final table.
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -84,12 +88,10 @@ public:
         /// Newest resident homophily key listing this id as a neighbor.
         /// Meaningful only when flags & kSurrogate.
         std::uint32_t surrogate = 0;
-        /// Importance score. Meaningful only when flags & kImportance.
-        double score = 0.0;
     };
 
     /// Torn-read retry bound: after this many invalidated probes the
-    /// caller must fall back to the locked path (a writer is rebuilding).
+    /// caller must fall back to the locked path (a writer is busy).
     static constexpr int kMaxReadAttempts = 64;
 
     explicit ShardResidencyView(std::size_t expected_entries) {
@@ -103,7 +105,7 @@ public:
 
     // ------------------------------------------------------- reader side
 
-    /// Wait-free residency probe. Returns the id's flags/score/surrogate
+    /// Wait-free residency probe. Returns the id's flags and surrogate
     /// (flags == 0 for a non-resident id), or nullopt when every attempt
     /// within the retry bound was torn by concurrent write sections.
     [[nodiscard]] std::optional<Probe> try_probe(std::uint32_t id) const {
@@ -121,14 +123,10 @@ public:
                 const std::uint64_t word =
                     table->slots[i].key.load(std::memory_order_acquire);
                 if (word == kEmptyWord) break;
-                if (static_cast<std::uint32_t>(word >> 32) != id) continue;
+                if (id_of(word) != id) continue;
                 out.flags = static_cast<std::uint32_t>(word);
-                out.surrogate = static_cast<std::uint32_t>(
-                    table->slots[i].surrogate.load(
-                        std::memory_order_acquire));
-                out.score = std::bit_cast<double>(
-                    table->slots[i].score_bits.load(
-                        std::memory_order_acquire));
+                out.surrogate = table->slots[i].surrogate.load(
+                    std::memory_order_acquire);
                 break;
             }
             if (seq_.read_valid(begin)) return out;
@@ -157,75 +155,49 @@ public:
         ShardResidencyView& view_;
     };
 
-    void set_importance(std::uint32_t id, double score) {
-        Slot& slot = upsert(id);
-        slot.score_bits.store(std::bit_cast<std::uint64_t>(score),
-                              std::memory_order_release);
-        or_flags(slot, id, kImportance);
-    }
+    void set_importance(std::uint32_t id) { or_flags(id, kImportance); }
     void clear_importance(std::uint32_t id) { clear_flags(id, kImportance); }
 
-    void set_hom_key(std::uint32_t id) { or_flags(upsert(id), id, kHomKey); }
+    void set_hom_key(std::uint32_t id) { or_flags(id, kHomKey); }
     void clear_hom_key(std::uint32_t id) { clear_flags(id, kHomKey); }
 
     void set_surrogate(std::uint32_t id, std::uint32_t key) {
-        Slot& slot = upsert(id);
-        slot.surrogate.store(key, std::memory_order_release);
-        or_flags(slot, id, kSurrogate);
+        or_flags(id, kSurrogate).surrogate.store(key,
+                                                 std::memory_order_release);
     }
     void clear_surrogate(std::uint32_t id) { clear_flags(id, kSurrogate); }
 
-    /// Wipes the table in place (allocation reused; concurrent readers see
-    /// torn slots and retry). Prelude to a full rebuild after an elastic
-    /// repartition or a section-policy switch.
-    void clear() {
-        Table& table = *tables_.back();
-        for (Slot& slot : table.slots) {
-            slot.key.store(kEmptyWord, std::memory_order_release);
-        }
-        table.used = 0;
-        live_ = 0;
-    }
-
-    /// All live entries (flags != 0). Caller must hold the shard mutex so
-    /// no write section is possible; used by the frozen-state oracle.
+    /// Every entry. Caller must hold the shard mutex so no write section
+    /// is possible; used by the frozen-state oracle.
     [[nodiscard]] std::vector<std::pair<std::uint32_t, Probe>> entries()
         const {
         std::vector<std::pair<std::uint32_t, Probe>> out;
-        const Table* table = table_.load(std::memory_order_acquire);
-        for (const Slot& slot : table->slots) {
+        for (const Slot& slot : current().slots) {
             const std::uint64_t word =
-                slot.key.load(std::memory_order_acquire);
+                slot.key.load(std::memory_order_relaxed);
             if (word == kEmptyWord) continue;
-            const auto flags = static_cast<std::uint32_t>(word);
-            if (flags == 0) continue;  // tombstone
-            Probe probe;
-            probe.flags = flags;
-            probe.surrogate = static_cast<std::uint32_t>(
-                slot.surrogate.load(std::memory_order_acquire));
-            probe.score = std::bit_cast<double>(
-                slot.score_bits.load(std::memory_order_acquire));
-            out.emplace_back(static_cast<std::uint32_t>(word >> 32), probe);
+            out.emplace_back(
+                id_of(word),
+                Probe{static_cast<std::uint32_t>(word),
+                      slot.surrogate.load(std::memory_order_relaxed)});
         }
         return out;
     }
 
-    [[nodiscard]] std::size_t live_entries() const { return live_; }
+    /// Slots of the current table. Caller must hold the shard mutex.
+    [[nodiscard]] std::size_t slot_count() const {
+        return current().slots.size();
+    }
 
 private:
     struct Slot {
-        /// [id:32 | flags:32]. kEmptyWord = never used (probe chains end
-        /// here); a valid id with flags == 0 is a tombstone (chains
-        /// continue through it, probes report non-resident).
+        /// [id:32 | flags:32], or kEmptyWord. Flags are never 0.
         std::atomic<std::uint64_t> key{kEmptyWord};
-        std::atomic<std::uint64_t> surrogate{0};
-        std::atomic<std::uint64_t> score_bits{0};
+        std::atomic<std::uint32_t> surrogate{0};
     };
     struct Table {
         explicit Table(std::size_t capacity) : slots(capacity) {}
         std::vector<Slot> slots;
-        /// Occupied slots including tombstones (writer-only bookkeeping).
-        std::size_t used = 0;
         [[nodiscard]] std::size_t mask() const { return slots.size() - 1; }
     };
 
@@ -252,112 +224,94 @@ private:
                mask;
     }
 
-    [[nodiscard]] Slot* find(std::uint32_t id) {
-        Table& table = *tables_.back();
+    [[nodiscard]] static std::uint32_t id_of(std::uint64_t word) {
+        return static_cast<std::uint32_t>(word >> 32);
+    }
+
+    [[nodiscard]] const Table& current() const { return *tables_.back(); }
+    [[nodiscard]] Table& current() { return *tables_.back(); }
+
+    /// Sets `bits` on id's slot, inserting the slot if the id is absent.
+    Slot& or_flags(std::uint32_t id, std::uint32_t bits) {
+        if (4 * (live_ + 1) > 3 * current().slots.size()) grow();
+        Table& table = current();
         const std::size_t mask = table.mask();
         std::size_t i = slot_index(id, mask);
-        for (std::size_t n = 0; n <= mask; ++n, i = (i + 1) & mask) {
+        // The load bound leaves an empty slot, which ends every run.
+        for (;; i = (i + 1) & mask) {
             const std::uint64_t word =
                 table.slots[i].key.load(std::memory_order_relaxed);
-            if (word == kEmptyWord) return nullptr;
-            if (static_cast<std::uint32_t>(word >> 32) == id) {
-                return &table.slots[i];
-            }
-        }
-        return nullptr;
-    }
-
-    [[nodiscard]] Slot& upsert(std::uint32_t id) {
-        Table* table = tables_.back().get();
-        if (4 * (table->used + 1) > 3 * table->slots.size()) {
-            grow();
-            table = tables_.back().get();
-        }
-        const std::size_t mask = table->mask();
-        std::size_t i = slot_index(id, mask);
-        Slot* tombstone = nullptr;
-        for (std::size_t n = 0; n <= mask; ++n, i = (i + 1) & mask) {
-            Slot& slot = table->slots[i];
-            const std::uint64_t word =
-                slot.key.load(std::memory_order_relaxed);
             if (word == kEmptyWord) {
-                if (tombstone != nullptr) {
-                    reset_slot(*tombstone, id);
-                    return *tombstone;
-                }
-                ++table->used;
-                reset_slot(slot, id);
-                return slot;
+                ++live_;
+                table.slots[i].key.store(
+                    (static_cast<std::uint64_t>(id) << 32) | bits,
+                    std::memory_order_release);
+                return table.slots[i];
             }
-            if (static_cast<std::uint32_t>(word >> 32) == id) return slot;
-            if (static_cast<std::uint32_t>(word) == 0 &&
-                tombstone == nullptr) {
-                tombstone = &slot;
+            if (id_of(word) == id) {
+                table.slots[i].key.store(word | bits,
+                                         std::memory_order_release);
+                return table.slots[i];
             }
         }
-        // Unreachable: the load-factor bound guarantees a free slot.
-        grow();
-        return upsert(id);
     }
 
-    static void reset_slot(Slot& slot, std::uint32_t id) {
-        slot.key.store(static_cast<std::uint64_t>(id) << 32,
-                       std::memory_order_release);
-        slot.surrogate.store(0, std::memory_order_release);
-        slot.score_bits.store(0, std::memory_order_release);
-    }
-
-    void or_flags(Slot& slot, std::uint32_t id, std::uint32_t bits) {
-        const std::uint64_t word = slot.key.load(std::memory_order_relaxed);
-        const auto flags = static_cast<std::uint32_t>(word);
-        if (flags == 0) ++live_;
-        slot.key.store((static_cast<std::uint64_t>(id) << 32) |
-                           (flags | bits),
-                       std::memory_order_release);
-    }
-
+    /// Clears `bits` on id's slot; the slot leaves with its last flag.
     void clear_flags(std::uint32_t id, std::uint32_t bits) {
-        Slot* slot = find(id);
-        if (slot == nullptr) return;
-        const std::uint64_t word = slot->key.load(std::memory_order_relaxed);
-        const auto flags = static_cast<std::uint32_t>(word);
-        const std::uint32_t next = flags & ~bits;
-        if (flags != 0 && next == 0) --live_;  // becomes a tombstone
-        slot->key.store((word & ~0xFFFFFFFFULL) | next,
-                        std::memory_order_release);
+        Table& table = current();
+        const std::size_t mask = table.mask();
+        std::size_t i = slot_index(id, mask);
+        std::uint64_t word = 0;
+        for (;; i = (i + 1) & mask) {
+            word = table.slots[i].key.load(std::memory_order_relaxed);
+            if (word == kEmptyWord) return;
+            if (id_of(word) == id) break;
+        }
+        word &= ~static_cast<std::uint64_t>(bits);
+        if (static_cast<std::uint32_t>(word) != 0) {
+            table.slots[i].key.store(word, std::memory_order_release);
+            return;
+        }
+        // Backward shift: pull later entries of the run into the hole
+        // unless that would move one before its home slot.
+        std::size_t hole = i;
+        for (std::size_t b = (hole + 1) & mask;; b = (b + 1) & mask) {
+            const std::uint64_t next =
+                table.slots[b].key.load(std::memory_order_relaxed);
+            if (next == kEmptyWord) break;
+            if (((b - slot_index(id_of(next), mask)) & mask) >=
+                ((b - hole) & mask)) {
+                table.slots[hole].surrogate.store(
+                    table.slots[b].surrogate.load(std::memory_order_relaxed),
+                    std::memory_order_release);
+                table.slots[hole].key.store(next, std::memory_order_release);
+                hole = b;
+            }
+        }
+        table.slots[hole].key.store(kEmptyWord, std::memory_order_release);
+        --live_;
     }
 
-    /// Doubles capacity: live entries rehash into a fresh table, the
-    /// pointer swaps, the old allocation is retired (never freed) so
-    /// in-flight readers stay memory-safe.
+    /// Doubles capacity: entries rehash into a fresh table, the pointer
+    /// swaps, the old allocation is retired (never freed) so in-flight
+    /// readers stay memory-safe.
     void grow() {
-        const Table& old = *tables_.back();
-        auto grown =
-            std::make_unique<Table>(std::max<std::size_t>(2 * old.slots.size(),
-                                                          16));
+        const Table& old = current();
+        auto grown = std::make_unique<Table>(2 * old.slots.size());
+        const std::size_t mask = grown->mask();
         for (const Slot& slot : old.slots) {
             const std::uint64_t word =
                 slot.key.load(std::memory_order_relaxed);
-            if (word == kEmptyWord ||
-                static_cast<std::uint32_t>(word) == 0) {
-                continue;
-            }
-            const auto id = static_cast<std::uint32_t>(word >> 32);
-            const std::size_t mask = grown->mask();
-            std::size_t i = slot_index(id, mask);
+            if (word == kEmptyWord) continue;
+            std::size_t i = slot_index(id_of(word), mask);
             while (grown->slots[i].key.load(std::memory_order_relaxed) !=
                    kEmptyWord) {
                 i = (i + 1) & mask;
             }
-            Slot& fresh = grown->slots[i];
-            fresh.key.store(word, std::memory_order_release);
-            fresh.surrogate.store(
+            grown->slots[i].key.store(word, std::memory_order_relaxed);
+            grown->slots[i].surrogate.store(
                 slot.surrogate.load(std::memory_order_relaxed),
-                std::memory_order_release);
-            fresh.score_bits.store(
-                slot.score_bits.load(std::memory_order_relaxed),
-                std::memory_order_release);
-            ++grown->used;
+                std::memory_order_relaxed);
         }
         table_.store(grown.get(), std::memory_order_release);
         tables_.push_back(std::move(grown));
@@ -368,7 +322,7 @@ private:
     /// Current table (back) plus retired predecessors, kept allocated for
     /// the lifetime of the view (see header comment).
     std::vector<std::unique_ptr<Table>> tables_;
-    /// Entries with flags != 0 (writer-only bookkeeping).
+    /// Occupied slots (writer-only bookkeeping).
     std::size_t live_ = 0;
 };
 

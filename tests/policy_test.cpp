@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -1078,6 +1079,37 @@ TEST(SectionPolicySwitch, ShardedCacheSwitchesEveryShard) {
                      {PolicyKind::kRandom, PolicyKind::kFifo}),
                  std::invalid_argument);
     EXPECT_EQ(cache.section_policies().importance, PolicyKind::kGdsf);
+}
+
+TEST(SectionPolicySwitch, LeavesTheViewUnchanged) {
+    // Residency survives a switch, so the view is not written: every slot
+    // reads as before, in the same table order.
+    const auto dump = [](const TwoLayerSemanticCache& cache) {
+        std::vector<std::vector<std::array<std::uint32_t, 3>>> slots;
+        for (const auto& shard : cache.freeze().shards) {
+            auto& out = slots.emplace_back();
+            for (const auto& [id, probe] : shard.view) {
+                const bool sur = probe.flags & ShardResidencyView::kSurrogate;
+                out.push_back({id, probe.flags, sur ? probe.surrogate : 0U});
+            }
+        }
+        return slots;
+    };
+    for (const std::size_t shards : {1U, 4U}) {
+        TwoLayerSemanticCache cache{64, 0.6, shards};
+        for (std::uint32_t id = 0; id < 60; ++id) {
+            cache.on_miss_fetched(id, 0.5 + 0.01 * ((id * 37) % 50));
+        }
+        for (std::uint32_t key = 100; key < 130; ++key) {
+            const std::uint32_t nb[] = {key + 100, key + 200, key % 7};
+            cache.update_homophily(key, nb);
+        }
+        const auto before = dump(cache);
+        cache.set_section_policies({PolicyKind::kLfu, PolicyKind::kLru});
+        EXPECT_EQ(dump(cache), before) << shards << " shards";
+        cache.set_section_policies({});
+        EXPECT_EQ(dump(cache), before) << shards << " shards";
+    }
 }
 
 TEST(SectionPolicySwitch, ConstructorValidatesPolicies) {

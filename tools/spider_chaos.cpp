@@ -31,7 +31,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,11 +63,11 @@ struct Options {
 std::vector<std::string> check_invariants(
     const cache::TwoLayerSemanticCache::FrozenState& frozen) {
     std::vector<std::string> violations;
-    std::unordered_map<std::uint32_t, double> importance_scores;
+    std::unordered_set<std::uint32_t> importance_ids;
     std::unordered_set<std::uint32_t> hom_keys;
     for (const auto& shard : frozen.shards) {
         for (const auto& [id, score] : shard.importance) {
-            importance_scores.emplace(id, score);
+            importance_ids.insert(id);
         }
         for (const std::uint32_t key : shard.homophily_keys) {
             hom_keys.insert(key);
@@ -87,7 +86,7 @@ std::vector<std::string> check_invariants(
         }
         // (b) section exclusivity.
         for (const std::uint32_t key : shard.homophily_keys) {
-            if (importance_scores.contains(key)) {
+            if (importance_ids.contains(key)) {
                 violations.push_back("(b) id " + std::to_string(key) +
                                      " resident in both sections");
             }
@@ -111,14 +110,10 @@ std::vector<std::string> check_invariants(
             using View = cache::ShardResidencyView;
             if (probe.flags & View::kImportance) {
                 ++imp_flags;
-                const auto it = importance_scores.find(id);
-                if (it == importance_scores.end()) {
+                if (!importance_ids.contains(id)) {
                     violations.push_back(
                         "(d) view lists non-resident importance id " +
                         std::to_string(id));
-                } else if (it->second != probe.score) {
-                    violations.push_back("(d) view score mismatch for id " +
-                                         std::to_string(id));
                 }
             }
             if (probe.flags & View::kHomKey) {
