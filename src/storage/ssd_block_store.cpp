@@ -51,9 +51,10 @@ unframe_record(std::string_view frame) {
     std::uint32_t id = 0;
     std::size_t body_off = off;
     if (!get(frame, body_off, id)) return std::nullopt;
-    std::vector<std::uint8_t> bytes(len - 4);
-    std::memcpy(bytes.data(), frame.data() + body_off, len - 4);
-    return std::make_pair(id, std::move(bytes));
+    // An empty payload has no buffer: memcpy must not see its null data().
+    const auto* body =
+        reinterpret_cast<const std::uint8_t*>(frame.data() + body_off);
+    return std::make_pair(id, std::vector<std::uint8_t>(body, body + len - 4));
 }
 
 /// Provisional sizing for the active segment's bloom; the seal rebuilds
